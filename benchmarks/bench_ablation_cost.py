@@ -3,16 +3,17 @@
 The paper's Figure 7(a) discussion: when a loop must fetch all rows anyway
 (another variable needs them), extracting a separate aggregate query is
 pure overhead.  The always-rewrite policy regresses there; the Section 5.3
-all-or-nothing heuristic and the Appendix C cost-based search both decline.
+all-or-nothing heuristic and the cost-based selection (``plan_rewrites``
+under a deployment profile, with observed cardinalities) both decline.
 On a cleanly extractable loop, cost-based and heuristic agree to rewrite.
 """
 
 from conftest import record_table
 
-from repro.core import extract_sql, optimize_program
-from repro.cost import cost_based_plan
+from repro.core import ExtractOptions, extract_sql, optimize_program
 from repro.db import Connection
 from repro.interp import Interpreter
+from repro.rewrites import plan_rewrites
 from repro.workloads import sample, wilos_catalog, wilos_database
 
 _CATALOG = wilos_catalog()
@@ -57,9 +58,11 @@ def test_cost_based_declines_figure7a(benchmark):
 
     def decide():
         report = extract_sql(FIGURE7A, "f", _CATALOG)
-        return cost_based_plan(report, db)
+        return plan_rewrites(report, _CATALOG, "local", database=db)
 
     plan = benchmark(decide)
+    [choice] = plan.choices
+    declined = choice.chosen.kind == "as-written"
     keep = _simulate_keep(db)
     always = _simulate_always_rewrite(db)
     record_table(
@@ -70,12 +73,17 @@ def test_cost_based_declines_figure7a(benchmark):
             ["heuristic (Sec 5.3)", "keep loop", f"{keep:.3f}"],
             [
                 "cost-based (App C)",
-                "keep loop" if not plan.rewrite_loops else "rewrite",
+                "keep loop" if declined else "rewrite",
                 f"{keep:.3f}",
             ],
         ],
     )
-    assert not plan.rewrite_loops, "cost-based must decline the extra query"
+    assert declined, "cost-based must decline the extra query"
+    for profile in ("local", "wan"):
+        report = optimize_program(
+            FIGURE7A, "f", _CATALOG, options=ExtractOptions(profile=profile)
+        )
+        assert not report.rewritten_loops, profile
     assert always > keep
 
 
@@ -85,13 +93,17 @@ def test_cost_based_agrees_on_clean_aggregation(benchmark):
 
     def decide():
         report = extract_sql(clean.source, clean.function, _CATALOG)
-        return cost_based_plan(report, db), report
+        return plan_rewrites(report, _CATALOG, "local", database=db)
 
-    plan, report = benchmark(decide)
-    assert plan.rewrite_loops, "pure aggregation must be rewritten"
+    plan = benchmark(decide)
+    [choice] = plan.choices
+    assert choice.chosen.kind == "pushdown", "pure aggregation must be rewritten"
 
     # And the rewrite actually wins at runtime.
-    opt = optimize_program(clean.source, clean.function, _CATALOG)
+    opt = optimize_program(
+        clean.source, clean.function, _CATALOG, options=ExtractOptions(profile="local")
+    )
+    assert opt.rewritten_loops
     c1, c2 = Connection(db), Connection(db)
     r1 = Interpreter(opt.original, c1).run(clean.function)
     r2 = Interpreter(opt.rewritten, c2).run(clean.function)

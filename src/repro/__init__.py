@@ -45,10 +45,9 @@ Sub-packages:
 ``repro.interp``    MiniJava interpreter (equivalence checks, benchmarks)
 ``repro.workloads`` the paper's applications (Wilos, Matoso, JobPortal...)
 ``repro.baselines`` batching / prefetching / QBS reference data
-``repro.cost``      Volcano/Cascades-style cost-based rewriting (App. C)
 ``repro.batch``     directory scans, result cache, worker pool
 ``repro.lint``      soundness checker + coded diagnostics (EQ1xx/2xx/3xx)
-``repro.rewrites``  cost-based selection over the rewrite space (Cobra)
+``repro.rewrites``  cost-based selection over the rewrite space (App. C, Cobra)
 
 Cost-based rewrite selection (``--profile``/``--explain-rewrites``):
 

@@ -57,7 +57,6 @@ def _cmd_extract(args) -> int:
     try:
         options = ExtractOptions(
             dialect=args.dialect,
-            policy=args.policy,
             ordering_matters=not args.unordered,
             allow_temp_tables=args.temp_tables,
             profile=profile,
@@ -172,9 +171,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     extract.add_argument("--rewrite", action="store_true", help="print the rewritten program")
     extract.add_argument(
-        "--policy", default="heuristic", choices=["heuristic", "cost"]
-    )
-    extract.add_argument(
         "--unordered",
         action="store_true",
         help="result ordering irrelevant (keyword-search mode)",
@@ -188,7 +184,7 @@ def main(argv: list[str] | None = None) -> int:
         "--profile",
         default=None,
         help="deployment profile for cost-based rewrite selection "
-        "(built-ins: local, wan)",
+        "(built-ins: local, wan); --rewrite keeps loops where as-written wins",
     )
     extract.add_argument(
         "--explain-rewrites",

@@ -23,7 +23,6 @@ from .algebra import Catalog
 from .batch import ScanReport, scan_directory
 from .core import (
     DIALECTS,
-    POLICIES,
     STATUS_CAPABLE,
     STATUS_FAILED,
     STATUS_SUCCESS,
@@ -64,7 +63,6 @@ __all__ = [
     "FrontendError",
     "LintReport",
     "LintScanReport",
-    "POLICIES",
     "RewritePlan",
     "STATUS_CAPABLE",
     "STATUS_FAILED",

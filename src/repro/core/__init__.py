@@ -9,13 +9,12 @@ from .extractor import (
     extract_sql,
     optimize_program,
 )
-from .options import DIALECTS, POLICIES, ExtractOptions
+from .options import DIALECTS, ExtractOptions
 
 __all__ = [
     "DIALECTS",
     "ExtractOptions",
     "ExtractionReport",
-    "POLICIES",
     "STATUS_CAPABLE",
     "STATUS_FAILED",
     "STATUS_SUCCESS",

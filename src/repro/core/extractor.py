@@ -11,7 +11,9 @@ classifies every analysed variable:
 
 ``optimize_program`` additionally rewrites the program to use the extracted
 SQL, applying the paper's Section 5.3 heuristic: a loop is only rewritten
-when every variable that is live after it was successfully extracted.
+when every variable that is live after it was successfully extracted.  With
+a deployment profile it also applies the cost-based verdict (Appendix C,
+Cobra): a loop whose as-written form costs less than its push-down stays.
 """
 
 from __future__ import annotations
@@ -41,16 +43,16 @@ from ..ir import (
     walk_enodes,
 )
 from ..frontends import get_frontend
-from ..lang import Program
+from ..lang import Name, Program
 # Submodule imports (not ``..lint``) keep the import graph acyclic: the
 # lint package's __init__ pulls in the batch layer, which imports core.
 from ..lint.codes import code_info
 from ..lint.diagnostics import Diagnostic, SourceSpan
 from ..lint.engine import blockers_for, lint_preprocessed, loop_nesting
-from ..rewrite import EmitError, Emitter, eliminate_dead_code, insert_extractions
+from ..rewrite import EmitError, eliminate_dead_code, insert_extractions
 from ..rules import RuleEngine
 from ..sqlgen import SqlGenError, render_rel
-from .options import UNSET, ExtractOptions, resolve_options
+from .options import ExtractOptions
 
 STATUS_SUCCESS = "success"
 STATUS_CAPABLE = "capable"
@@ -187,20 +189,15 @@ def extract_sql(
     function: str,
     catalog: Catalog,
     targets: list[str] | None = None,
-    dialect: str = UNSET,
     disabled_rules: frozenset[str] = frozenset(),
-    ordering_matters: bool = UNSET,
-    allow_temp_tables: bool = UNSET,
     custom_aggregates: dict | None = None,
     *,
     options: ExtractOptions | None = None,
 ) -> ExtractionReport:
     """Run the extraction pipeline without rewriting the program.
 
-    Pass behavioural knobs through ``options=`` (an
-    :class:`~repro.core.ExtractOptions`); the loose ``dialect``,
-    ``ordering_matters`` and ``allow_temp_tables`` keywords remain as a
-    deprecated compatibility path.
+    Behavioural knobs travel in ``options=`` (an
+    :class:`~repro.core.ExtractOptions`).
 
     ``ExtractOptions(ordering_matters=False)`` enables the keyword-search
     relaxation (Experiment 3): result order is irrelevant, so rule T4's
@@ -213,13 +210,12 @@ def extract_sql(
     focuses on the query-derived case, and Table 1 sample 29 fails
     accordingly).
     """
-    options = resolve_options(
-        options,
-        api="extract_sql",
-        dialect=dialect,
-        ordering_matters=ordering_matters,
-        allow_temp_tables=allow_temp_tables,
-    )
+    if options is None:
+        options = ExtractOptions()
+    elif not isinstance(options, ExtractOptions):
+        raise TypeError(
+            f"options= expects ExtractOptions, got {type(options).__name__}"
+        )
     start = time.perf_counter()
     raw_program = (
         get_frontend(options.frontend).parse(source)
@@ -297,43 +293,23 @@ def optimize_program(
     function: str,
     catalog: Catalog,
     targets: list[str] | None = None,
-    dialect: str = UNSET,
-    policy: str = UNSET,
-    database=None,
-    ordering_matters: bool = UNSET,
-    allow_temp_tables: bool = UNSET,
     *,
     options: ExtractOptions | None = None,
 ) -> ExtractionReport:
     """Extract SQL and rewrite the program (Section 5.2).
 
-    Behavioural knobs travel in ``options=`` (the loose keywords remain as
-    a deprecated compatibility path).  ``options.policy`` selects how loops
-    are chosen for rewriting:
-
-    * ``"heuristic"`` — the Section 5.3 rule: rewrite a loop only when every
-      variable live after it was successfully extracted;
-    * ``"cost"`` — the Appendix C search: an AND-OR DAG over the loops,
-      costed with :class:`~repro.cost.CostModel` (pass ``database`` for real
-      cardinalities), may additionally decline heuristic-eligible loops
-      whose extraction does not pay off.
+    A loop is rewritten when the Section 5.3 heuristic allows it: every
+    variable live after the loop was successfully extracted.  When
+    ``options.profile`` names a deployment profile, the cost-based verdict
+    of :func:`~repro.rewrites.plan_rewrites` applies too: a heuristic-eligible
+    loop stays as written when that alternative costs less than push-down
+    (ties go to push-down).  In a loop nest the outermost rewritten loop's
+    site decides for the loops under it; a loop over the collection another
+    rewritten loop builds follows that loop.
     """
-    options = resolve_options(
-        options,
-        api="optimize_program",
-        dialect=dialect,
-        policy=policy,
-        ordering_matters=ordering_matters,
-        allow_temp_tables=allow_temp_tables,
-    )
     start = time.perf_counter()
-    report = extract_sql(
-        source,
-        function,
-        catalog,
-        targets,
-        options=options,
-    )
+    report = extract_sql(source, function, catalog, targets, options=options)
+    options = options or ExtractOptions()
     program = report.original
     func = program.function(function)
 
@@ -342,19 +318,11 @@ def optimize_program(
         if extraction.loop_sid >= 0:
             by_loop.setdefault(extraction.loop_sid, []).append(extraction)
 
-    allowed_loops: set[int] | None = None
-    if options.policy == "cost":
-        from ..cost import cost_based_plan
-
-        allowed_loops = cost_based_plan(report, database).rewrite_loops
-
     plan: dict[int, list[tuple[str, ENode]]] = {}
     loop_stmts = _loop_statements(program, function)
     for loop_sid, extractions in by_loop.items():
         loop_stmt = loop_stmts.get(loop_sid)
         if loop_stmt is None:
-            continue
-        if allowed_loops is not None and loop_sid not in allowed_loops:
             continue
         live = live_after_loop(func, loop_stmt)
         updated = {e.variable for e in extractions}
@@ -371,6 +339,8 @@ def optimize_program(
                 for e in extractions
                 if e.variable in needed and e.node is not None
             ]
+    if report.rewrite_plan is not None:
+        plan = _apply_cost_verdict(plan, report.rewrite_plan, func, loop_stmts)
 
     rewritten = program
     if plan:
@@ -399,6 +369,41 @@ def optimize_program(
 
 
 # ----------------------------------------------------------------------
+
+
+def _apply_cost_verdict(plan: dict, rewrite_plan, func, loop_stmts) -> dict:
+    """Drop the planned loops whose deciding site costs less as written
+    than pushed down.
+
+    A planned loop's parent is the outermost planned loop enclosing it, or
+    else the planned loop that builds the collection it iterates (its
+    extraction composes that loop's fold).  The root of that chain is the
+    deciding site, so a nest is kept or pushed down as a whole.
+    """
+    nesting = loop_nesting(func)
+    builders = {var: sid for sid, pairs in plan.items() for var, _ in pairs}
+
+    def parent(sid: int) -> int | None:
+        enclosing = [o for o in plan if o != sid and sid in nesting[o]]
+        if enclosing:
+            return max(enclosing, key=lambda o: len(nesting[o]))
+        iterable = loop_stmts[sid].iterable
+        return builders.get(iterable.ident) if isinstance(iterable, Name) else None
+
+    def decider(sid: int) -> int:
+        seen = {sid}
+        while (up := parent(sid)) is not None and up not in seen:
+            seen.add(up)
+            sid = up
+        return sid
+
+    def as_written_wins(sid: int) -> bool:
+        choice = rewrite_plan.choice_for(sid)
+        return choice is not None and choice.as_written_wins
+
+    return {
+        sid: pairs for sid, pairs in plan.items() if not as_written_wins(decider(sid))
+    }
 
 
 def _default_targets(program, function, ve, ctx) -> list[str]:

@@ -1,28 +1,17 @@
 """Extraction options: one frozen value object instead of kwarg sprawl.
 
-:class:`ExtractOptions` consolidates the knobs that used to be loose
-keyword arguments on :func:`~repro.core.extract_sql` and
-:func:`~repro.core.optimize_program` (``dialect``, ``policy``,
-``ordering_matters``, ``allow_temp_tables``).  Being frozen and
-dict-convertible makes it safe to hash into cache keys and to ship across
-process boundaries, which the batch scanner (:mod:`repro.batch`) relies on.
-
-The legacy keyword arguments still work but are deprecated; passing both
-``options=`` and a legacy keyword is an error (there is no sensible merge
-order).
+:class:`ExtractOptions` carries every behavioural knob of
+:func:`~repro.core.extract_sql` and :func:`~repro.core.optimize_program`.
+Being frozen and dict-convertible makes it safe to hash into cache keys and
+to ship across process boundaries, which the batch scanner
+(:mod:`repro.batch`) relies on.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, fields, replace
 
 DIALECTS = ("repro", "postgres", "mysql", "sqlserver", "ansi")
-POLICIES = ("heuristic", "cost")
-
-#: Sentinel distinguishing "kwarg not passed" from an explicit value, so the
-#: deprecation path only fires when a caller actually uses a legacy kwarg.
-UNSET = object()
 
 
 @dataclass(frozen=True)
@@ -30,9 +19,6 @@ class ExtractOptions:
     """Options controlling extraction and rewriting.
 
     ``dialect``            target SQL dialect for rendered queries;
-    ``policy``             loop-selection policy for rewriting (Section 5.3
-                           heuristic or the Appendix C cost-based search) —
-                           ignored by plain extraction;
     ``ordering_matters``   ``False`` enables the keyword-search relaxation
                            (Experiment 3): rule T4's unique-key precondition
                            is waived because result order is irrelevant;
@@ -42,7 +28,9 @@ class ExtractOptions:
                            :mod:`repro.rewrites`): when set, extraction also
                            generates the per-site rewrite space, costs it
                            under the profile and records the selected winner
-                           on each :class:`~repro.core.VariableExtraction`;
+                           on each :class:`~repro.core.VariableExtraction`,
+                           and rewriting keeps every loop whose as-written
+                           form costs less than its push-down;
     ``frontend``           name of the registered language frontend
                            (:mod:`repro.frontends`) that parses string
                            sources — ``"minijava"`` (the default, full
@@ -57,7 +45,6 @@ class ExtractOptions:
     """
 
     dialect: str = "repro"
-    policy: str = "heuristic"
     ordering_matters: bool = True
     allow_temp_tables: bool = False
     profile: str | None = None
@@ -73,10 +60,6 @@ class ExtractOptions:
         if self.dialect not in DIALECTS:
             raise ValueError(
                 f"unknown dialect {self.dialect!r}; expected one of {DIALECTS}"
-            )
-        if self.policy not in POLICIES:
-            raise ValueError(
-                f"unknown policy {self.policy!r}; expected one of {POLICIES}"
             )
         if self.profile is not None:
             # Function-level import: repro.rewrites pulls in layers that
@@ -103,48 +86,3 @@ class ExtractOptions:
         """A copy with the given fields changed (validation re-runs)."""
         return replace(self, **changes)
 
-
-def resolve_options(
-    options: ExtractOptions | None,
-    *,
-    api: str,
-    dialect=UNSET,
-    policy=UNSET,
-    ordering_matters=UNSET,
-    allow_temp_tables=UNSET,
-) -> ExtractOptions:
-    """Reconcile ``options=`` with the deprecated legacy keywords.
-
-    Exactly one style may be used per call.  Legacy keywords build an
-    equivalent :class:`ExtractOptions` and emit a :class:`DeprecationWarning`.
-    """
-    legacy = {
-        name: value
-        for name, value in (
-            ("dialect", dialect),
-            ("policy", policy),
-            ("ordering_matters", ordering_matters),
-            ("allow_temp_tables", allow_temp_tables),
-        )
-        if value is not UNSET
-    }
-    if options is not None:
-        if legacy:
-            raise TypeError(
-                f"{api}() got options= together with legacy keyword(s) "
-                f"{sorted(legacy)}; pass everything through options="
-            )
-        if not isinstance(options, ExtractOptions):
-            raise TypeError(
-                f"{api}() options= expects ExtractOptions, got {type(options).__name__}"
-            )
-        return options
-    if legacy:
-        warnings.warn(
-            f"passing {sorted(legacy)} to {api}() is deprecated; "
-            f"use options=ExtractOptions(...)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return ExtractOptions(**legacy)
-    return ExtractOptions()

@@ -36,7 +36,7 @@ from .physical import total_scanned
 from .types import Row, row_size_bytes
 
 
-@dataclass
+@dataclass(frozen=True)
 class CostParameters:
     """Tunable knobs of the simulated network and server."""
 

@@ -11,7 +11,7 @@ operator that mirrors the reference evaluator line for line.
 
 Among the alternatives that *do* pass the soundness proof, the planner no
 longer applies fixed heuristics: each choice point builds a group in the
-Volcano-style memo (:class:`repro.cost.andor.Memo`) whose alternatives are
+Volcano-style memo (:class:`repro.db.andor.Memo`) whose alternatives are
 costed from observed table statistics (:mod:`repro.db.stats` — row counts,
 NDV, histograms), and the cheapest alternative wins.  Ties keep the first
 candidate listed, which encodes the pre-cost preference order.  Join
@@ -73,7 +73,7 @@ from ..algebra import (
     conjoin,
     walk_scalar,
 )
-from ..cost.andor import AndNode, Memo
+from .andor import AndNode, Memo
 from .columnar import (
     ColumnarHashJoin,
     ColumnarPipeline,

@@ -50,11 +50,12 @@ from ..lang import (
     StringLit,
     Unary,
     number_statements,
+    statement_expressions,
     walk_expressions,
     walk_statements,
 )
 from ..rewrite import EmitError, eliminate_dead_code, insert_extractions
-from ..sqlparse import parse_query
+from ..sqlparse import SqlParseError, parse_query
 
 KIND_AS_WRITTEN = "as-written"
 KIND_PUSHDOWN = "pushdown"
@@ -297,7 +298,7 @@ def _outer_rel(func, loop_stmt: ForEach, outer_name: str | None) -> RelExpr | No
         ):
             try:
                 return parse_query(call.args[0].value)
-            except Exception:
+            except SqlParseError:
                 return None
     return None
 
@@ -340,7 +341,7 @@ def _find_inner_lookups(
     for stmt in walk_statements(loop_stmt.body):
         if stmt.sid in matched_sids:
             continue
-        for expr in _stmt_exprs(stmt):
+        for expr in statement_expressions(stmt):
             for node in walk_expressions(expr):
                 if isinstance(node, Call) and node.func in _DB_CALLS:
                     residual += 1
@@ -361,7 +362,7 @@ def _match_scalar_lookup(
         return None
     try:
         rel = parse_query(stmt.value.args[0].value)
-    except Exception:
+    except SqlParseError:
         return None
     match = _match_point_lookup(rel)
     if match is None:
@@ -408,25 +409,11 @@ def _match_point_lookup(rel: RelExpr) -> tuple[str, str, str, str] | None:
 
 def _body_is_batchable(loop_stmt: ForEach) -> bool:
     for stmt in walk_statements(loop_stmt.body):
-        for expr in _stmt_exprs(stmt):
+        for expr in statement_expressions(stmt):
             for node in walk_expressions(expr):
                 if isinstance(node, Call) and node.func not in _BATCHABLE_CALLS:
                     return False
     return True
-
-
-def _stmt_exprs(stmt: Stmt):
-    if isinstance(stmt, Assign):
-        return [stmt.value]
-    if isinstance(stmt, ExprStmt):
-        return [stmt.expr]
-    if isinstance(stmt, If):
-        return [stmt.cond]
-    if isinstance(stmt, ForEach):
-        return [stmt.iterable]
-    cond = getattr(stmt, "cond", None)
-    value = getattr(stmt, "value", None)
-    return [e for e in (cond, value) if e is not None]
 
 
 def _lookup_alternative(
@@ -487,7 +474,7 @@ def _lookup_alternative(
             )
         try:
             rels.append(parse_query(sql))
-        except Exception:
+        except SqlParseError:
             return None
         pre.append(
             Assign(target=fetch_var, value=Call(func="executeQuery", args=[StringLit(sql)]))

@@ -1,9 +1,12 @@
 """Costing the rewrite space under a deployment profile (Appendix C, Cobra).
 
-:class:`AlternativeCostModel` extends the Volcano :class:`~repro.cost.CostModel`
-with profile-supplied cardinalities/selectivities and per-alternative
-analytical formulas.  Every formula decomposes into four components so the
-``explain`` output can show *why* a winner won:
+:class:`AlternativeCostModel` estimates the simulated execution cost
+(milliseconds, on the scale of the :class:`~repro.db.CostParameters`
+accounting) of every alternative of a site.  Cardinalities come from the
+live database when one is supplied, else from the profile; operators above
+the base tables use standard selectivity defaults.  Every formula
+decomposes into four components so the ``explain`` output can show *why* a
+winner won:
 
 ``round_trip_ms``  serial network round trips × profile latency — linear in
                    ``round_trip_ms`` with the round-trip count as slope,
@@ -18,8 +21,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..algebra import RelExpr, Select, Table
-from ..cost import CostModel, Estimate
+from ..algebra import (
+    Aggregate,
+    Alias,
+    Distinct,
+    Join,
+    Limit,
+    OuterApply,
+    Project,
+    RelExpr,
+    Select,
+    Sort,
+    Table,
+)
 from .alternatives import (
     KIND_AS_WRITTEN,
     KIND_BATCHED,
@@ -31,6 +45,12 @@ from .alternatives import (
 )
 from .profile import DeploymentProfile
 
+#: Default join selectivity (fraction of the cross product retained).
+JOIN_SELECTIVITY = 0.1
+#: Fraction of rows surviving duplicate elimination.
+DISTINCT_RETENTION = 0.6
+#: Estimated bytes per transferred row of a projection's input.
+ROW_BYTES = 40.0
 #: Transferred bytes per shipped batch key (one scalar per row).
 KEY_BYTES = 8.0
 
@@ -60,34 +80,45 @@ class CostBreakdown:
         }
 
 
-class AlternativeCostModel(CostModel):
-    """The Volcano cost model, parameterised by a deployment profile.
+@dataclass(frozen=True)
+class Estimate:
+    """Cardinality and per-row width estimates for a query."""
+
+    rows: float
+    width_bytes: float = ROW_BYTES
+
+
+class AlternativeCostModel:
+    """The rewrite cost model, parameterised by a deployment profile.
 
     Table cardinalities come from the live database when one is supplied,
     else from the profile's ``table_rows``/``default_table_rows``; the
-    selection selectivity comes from the profile instead of the module
-    constant.  Passing a :class:`~repro.db.CardinalityEstimator` upgrades
-    selection selectivities from the profile's flat constant to
-    statistics-driven estimates (NDV, histograms) against the live data.
+    selection selectivity comes from the profile.  Passing a
+    :class:`~repro.db.CardinalityEstimator` upgrades selection
+    selectivities from the profile's flat constant to statistics-driven
+    estimates (NDV, histograms) against the live data.
     """
 
     def __init__(self, profile: DeploymentProfile, database=None, estimator=None):
-        super().__init__(database, profile.cost_parameters())
         self.profile = profile
+        self.cost = profile.cost
+        self.database = database
         self.estimator = estimator
+
+    # ------------------------------------------------------------------
+    # Cardinalities
+
+    def table_rows(self, table: str) -> float:
+        if self.database is not None and table.lower() in {
+            t.lower() for t in self.database.table_names()
+        }:
+            return float(len(self.database.rows(table)))
+        return self.profile.cardinality(table)
 
     def cardinality(self, rel: RelExpr) -> Estimate:
         if isinstance(rel, Table):
-            if self.database is not None and rel.name.lower() in {
-                t.lower() for t in self.database.table_names()
-            }:
-                return Estimate(
-                    rows=float(len(self.database.rows(rel.name))),
-                    width_bytes=self.profile.row_bytes,
-                )
             return Estimate(
-                rows=self.profile.cardinality(rel.name),
-                width_bytes=self.profile.row_bytes,
+                rows=self.table_rows(rel.name), width_bytes=self.profile.row_bytes
             )
         if isinstance(rel, Select):
             child = self.cardinality(rel.child)
@@ -97,19 +128,45 @@ class AlternativeCostModel(CostModel):
                 if observed is not None:
                     selectivity = observed
             return Estimate(
-                rows=child.rows * selectivity,
-                width_bytes=child.width_bytes,
+                rows=child.rows * selectivity, width_bytes=child.width_bytes
             )
-        return super().cardinality(rel)
+        if isinstance(rel, Project):
+            child = self.cardinality(rel.child)
+            width = ROW_BYTES * max(1, len(rel.items)) / 4
+            return Estimate(rows=child.rows, width_bytes=width)
+        if isinstance(rel, Join):
+            left = self.cardinality(rel.left)
+            right = self.cardinality(rel.right)
+            if rel.kind == "cross":
+                rows = left.rows * right.rows
+            else:
+                rows = max(left.rows, left.rows * right.rows * JOIN_SELECTIVITY)
+            return Estimate(rows=rows, width_bytes=left.width_bytes + right.width_bytes)
+        if isinstance(rel, OuterApply):
+            left = self.cardinality(rel.left)
+            return Estimate(rows=left.rows, width_bytes=left.width_bytes + ROW_BYTES / 4)
+        if isinstance(rel, Aggregate):
+            child = self.cardinality(rel.child)
+            if not rel.group_by:
+                return Estimate(rows=1.0, width_bytes=8.0)
+            return Estimate(rows=max(1.0, child.rows**0.5), width_bytes=ROW_BYTES / 2)
+        if isinstance(rel, Distinct):
+            child = self.cardinality(rel.child)
+            return Estimate(rows=child.rows * DISTINCT_RETENTION, width_bytes=child.width_bytes)
+        if isinstance(rel, Limit):
+            child = self.cardinality(rel.child)
+            return Estimate(rows=min(child.rows, rel.count), width_bytes=child.width_bytes)
+        if isinstance(rel, (Sort, Alias)):
+            return self.cardinality(rel.child)
+        return Estimate(rows=100.0)
+
+    def scanned_rows(self, rel: RelExpr) -> float:
+        if isinstance(rel, Table):
+            return self.cardinality(rel).rows
+        return sum(self.scanned_rows(child) for child in rel.children())
 
     # ------------------------------------------------------------------
-
-    def table_rows(self, table: str) -> float:
-        if self.database is not None and table.lower() in {
-            t.lower() for t in self.database.table_names()
-        }:
-            return float(len(self.database.rows(table)))
-        return self.profile.cardinality(table)
+    # Costs
 
     def _query_parts(self, rel: RelExpr) -> tuple[float, float, float]:
         """(server_ms, transfer_ms, result_rows) of one query execution."""
@@ -121,6 +178,12 @@ class AlternativeCostModel(CostModel):
         )
         transfer = estimate.rows * estimate.width_bytes / self.cost.bytes_per_ms
         return server, transfer, estimate.rows
+
+    def query_cost_ms(self, rel: RelExpr) -> float:
+        """End-to-end cost of executing one query: round trip + server scan
+        + transfer of the result."""
+        server, transfer, _ = self._query_parts(rel)
+        return self.cost.round_trip_ms + self.cost.per_query_overhead_ms + server + transfer
 
     def _outer_parts(self, site: Site) -> tuple[float, float, float]:
         if site.outer_rel is not None:

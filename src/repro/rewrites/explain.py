@@ -12,9 +12,10 @@ from .selector import RewritePlan, SiteChoice
 
 def render_explain(plan: RewritePlan) -> str:
     profile = plan.profile
+    cost = profile.cost
     lines = [
         f"rewrite plan for {plan.function!r} under profile {profile.name!r} "
-        f"(rtt {profile.round_trip_ms:g} ms, {profile.bytes_per_ms:g} bytes/ms)"
+        f"(rtt {cost.round_trip_ms:g} ms, {cost.bytes_per_ms:g} bytes/ms)"
     ]
     if not plan.choices:
         lines.append("  (no extraction sites)")

@@ -21,26 +21,27 @@ Profiles are frozen and dict-convertible so they can ride inside
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 from ..db import CostParameters
+
+_COST_FIELDS = tuple(f.name for f in fields(CostParameters))
 
 
 @dataclass(frozen=True)
 class DeploymentProfile:
     """Cost-relevant description of one deployment environment.
 
+    ``cost`` holds the network and server parameters; running a program
+    through :class:`~repro.db.Connection` with them yields simulated
+    timings on the same scale the analytic cost model predicts.
     ``table_rows`` maps table names (case-insensitive) to assumed
     cardinalities; tables not listed get ``default_table_rows``.  It is
     stored as a tuple of pairs so the profile stays hashable.
     """
 
     name: str
-    round_trip_ms: float = 0.35
-    bytes_per_ms: float = 100_000.0
-    per_result_row_ms: float = 0.0008
-    per_scanned_row_ms: float = 0.0004
-    per_query_overhead_ms: float = 0.05
+    cost: CostParameters = CostParameters()
     #: Client-side cost of touching one row (iteration, hashing, compare).
     client_row_ms: float = 0.002
     #: Estimated transfer size of one result row.
@@ -54,11 +55,10 @@ class DeploymentProfile:
         if not self.name:
             raise ValueError("profile needs a name")
         numeric = (
-            self.round_trip_ms, self.bytes_per_ms, self.per_result_row_ms,
-            self.per_scanned_row_ms, self.per_query_overhead_ms,
+            *asdict(self.cost).values(),
             self.client_row_ms, self.row_bytes, self.default_table_rows,
         )
-        if any(v < 0 for v in numeric) or self.bytes_per_ms == 0:
+        if any(v < 0 for v in numeric) or self.cost.bytes_per_ms == 0:
             raise ValueError(f"profile {self.name!r} has a negative/zero cost parameter")
         if not 0.0 < self.selectivity <= 1.0:
             raise ValueError(f"profile {self.name!r}: selectivity must be in (0, 1]")
@@ -72,21 +72,6 @@ class DeploymentProfile:
             if name.lower() == lowered:
                 return float(rows)
         return float(self.default_table_rows)
-
-    def cost_parameters(self) -> CostParameters:
-        """The simulated-connection parameters this profile corresponds to.
-
-        Running a program through :class:`~repro.db.Connection` with these
-        parameters yields simulated timings on the same scale the analytic
-        cost model predicts.
-        """
-        return CostParameters(
-            round_trip_ms=self.round_trip_ms,
-            bytes_per_ms=self.bytes_per_ms,
-            per_result_row_ms=self.per_result_row_ms,
-            per_scanned_row_ms=self.per_scanned_row_ms,
-            per_query_overhead_ms=self.per_query_overhead_ms,
-        )
 
     def with_tables(self, rows: dict[str, float]) -> "DeploymentProfile":
         """A copy with table cardinalities replaced."""
@@ -106,7 +91,10 @@ class DeploymentProfile:
     # ------------------------------------------------------------------
 
     def to_dict(self) -> dict:
+        """A flat JSON-ready mapping: the cost parameters sit beside the
+        profile's own fields."""
         data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data.update(asdict(data.pop("cost")))
         data["table_rows"] = {name: rows for name, rows in self.table_rows}
         return data
 
@@ -116,11 +104,14 @@ class DeploymentProfile:
             raise ValueError(
                 f"profile spec must be a mapping, got {type(data).__name__}"
             )
-        known = {f.name for f in fields(cls)}
+        known = {f.name for f in fields(cls)} - {"cost"} | set(_COST_FIELDS)
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown profile field(s): {sorted(unknown)}")
-        payload = dict(data)
+        payload = {k: v for k, v in data.items() if k not in _COST_FIELDS}
+        payload["cost"] = CostParameters(
+            **{k: v for k, v in data.items() if k in _COST_FIELDS}
+        )
         table_rows = payload.get("table_rows", ())
         if isinstance(table_rows, dict):
             payload["table_rows"] = tuple(sorted(table_rows.items()))
@@ -133,9 +124,9 @@ LOCAL = DeploymentProfile(name="local")
 
 WAN = DeploymentProfile(
     name="wan",
-    round_trip_ms=40.0,
-    bytes_per_ms=25_000.0,
-    per_query_overhead_ms=0.3,
+    cost=CostParameters(
+        round_trip_ms=40.0, bytes_per_ms=25_000.0, per_query_overhead_ms=0.3
+    ),
 )
 
 #: Built-in profiles, addressable by name from ``ExtractOptions.profile``

@@ -14,7 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..algebra import Catalog
-from .alternatives import Alternative, Site, generate_alternatives
+from .alternatives import (
+    KIND_AS_WRITTEN,
+    KIND_PUSHDOWN,
+    Alternative,
+    Site,
+    generate_alternatives,
+)
 from .cost import AlternativeCostModel, CostBreakdown
 from .profile import DeploymentProfile, get_profile
 
@@ -53,6 +59,15 @@ class SiteChoice:
     costed: list[CostedAlternative]
     chosen: CostedAlternative
     why: str
+
+    @property
+    def as_written_wins(self) -> bool:
+        """Whether keeping the loop costs less than pushing it down; the
+        verdict ``optimize_program`` applies (ties go to push-down)."""
+        cost = {c.kind: c.cost.total_ms for c in self.costed}
+        return (
+            KIND_PUSHDOWN in cost and cost[KIND_AS_WRITTEN] < cost[KIND_PUSHDOWN]
+        )
 
     def to_dict(self) -> dict:
         return {

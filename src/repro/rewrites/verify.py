@@ -78,7 +78,7 @@ def run_observables(
 
     Returns ``(result, printed_output, out_stream, connection_stats)``.
     """
-    cost = profile.cost_parameters() if profile is not None else None
+    cost = profile.cost if profile is not None else None
     connection = Connection(database, cost=cost)
     interpreter = Interpreter(program, connection)
     result = interpreter.run(function, *args)

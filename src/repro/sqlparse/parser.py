@@ -205,6 +205,8 @@ class _SqlParser:
 
         if self._accept_kw("limit"):
             count_token = self._advance()
+            if not count_token.isdigit():
+                raise SqlParseError(f"LIMIT expects an integer, found {count_token!r}")
             rel = Limit(rel, int(count_token))
 
         if distinct:
@@ -545,7 +547,10 @@ def parse_query(text: str) -> RelExpr:
     tokens = _tokenize(text.strip().rstrip(";"))
     if not tokens:
         raise SqlParseError("empty query")
-    return _SqlParser(tokens).parse_query()
+    try:
+        return _SqlParser(tokens).parse_query()
+    except RecursionError:
+        raise SqlParseError("query nested too deeply") from None
 
 
 def combine_conjunctive(rel: RelExpr, extra_pred: ScalarExpr) -> RelExpr:

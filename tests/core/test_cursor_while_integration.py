@@ -1,7 +1,7 @@
 """JDBC-style cursor loops (``while (rs.next())``) through the whole
 pipeline: normalisation + extraction + consolidation."""
 
-from repro.core import extract_sql, optimize_program
+from repro.core import ExtractOptions, extract_sql, optimize_program
 from repro.db import Connection
 from repro.interp import Interpreter
 
@@ -75,7 +75,9 @@ class TestDialectReporting:
             }
         }
         """
-        report = extract_sql(source, "report", catalog, dialect="postgres")
+        report = extract_sql(
+            source, "report", catalog, options=ExtractOptions(dialect="postgres")
+        )
         assert "LEFT JOIN LATERAL" in report.variables["__out__"].sql
 
     def test_sqlserver_dialect_uses_outer_apply(self, catalog):
@@ -90,6 +92,8 @@ class TestDialectReporting:
             return m;
         }
         """
-        report = extract_sql(source, "f", catalog, dialect="sqlserver")
+        report = extract_sql(
+            source, "f", catalog, options=ExtractOptions(dialect="sqlserver")
+        )
         sql = report.variables["m"].sql
         assert "CASE WHEN" in sql  # no GREATEST on SQL Server

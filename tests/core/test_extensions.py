@@ -2,7 +2,7 @@
 temporary tables (the paper's Section 2 / Appendix B / future-work items)."""
 
 from repro.algebra import Catalog
-from repro.core import extract_sql, optimize_program
+from repro.core import ExtractOptions, extract_sql, optimize_program
 from repro.db import Connection, Database
 from repro.interp import Entity, Interpreter
 from repro.lang import unparse_program
@@ -99,7 +99,8 @@ class TestUnorderedMode:
 
     def test_unordered_mode_waives_key(self):
         report = extract_sql(
-            self.JOIN_NO_KEY, "f", self._catalog(), ordering_matters=False
+            self.JOIN_NO_KEY, "f", self._catalog(),
+            options=ExtractOptions(ordering_matters=False),
         )
         assert report.status == "success"
         assert "JOIN" in report.variables["xs"].sql
@@ -114,7 +115,8 @@ class TestTempTables:
     def test_sample_29_succeeds_with_temp_tables(self):
         s = sample(29)
         report = optimize_program(
-            s.source, s.function, wilos_catalog(), allow_temp_tables=True
+            s.source, s.function, wilos_catalog(),
+            options=ExtractOptions(allow_temp_tables=True),
         )
         assert report.status == "success"
         rendered = unparse_program(report.rewritten)
@@ -125,7 +127,8 @@ class TestTempTables:
         s = sample(29)
         catalog = wilos_catalog()
         report = optimize_program(
-            s.source, s.function, catalog, allow_temp_tables=True
+            s.source, s.function, catalog,
+            options=ExtractOptions(allow_temp_tables=True),
         )
         db = wilos_database(scale=20, catalog=catalog)
         roles = [Entity(dict(r)) for r in db.rows("role")]
@@ -148,7 +151,8 @@ class TestTempTables:
         """The temp-table flag must not change query-derived extractions."""
         s = sample(9)
         with_flag = extract_sql(
-            s.source, s.function, wilos_catalog(), allow_temp_tables=True
+            s.source, s.function, wilos_catalog(),
+            options=ExtractOptions(allow_temp_tables=True),
         )
         without = extract_sql(s.source, s.function, wilos_catalog())
         assert with_flag.variables["total"].sql == without.variables["total"].sql

@@ -1,4 +1,4 @@
-"""ExtractOptions: the consolidated options object and its compat path."""
+"""ExtractOptions: the one options object of the extraction entry points."""
 
 import json
 
@@ -29,7 +29,7 @@ class TestDataclass:
     def test_defaults(self):
         options = ExtractOptions()
         assert options.dialect == "repro"
-        assert options.policy == "heuristic"
+        assert options.profile is None
         assert options.ordering_matters is True
         assert options.allow_temp_tables is False
 
@@ -41,7 +41,7 @@ class TestDataclass:
         with pytest.raises(ValueError):
             ExtractOptions(dialect="oracle")
         with pytest.raises(ValueError):
-            ExtractOptions(policy="yolo")
+            ExtractOptions(profile="moon")
 
     def test_dict_round_trip(self):
         options = ExtractOptions(dialect="postgres", ordering_matters=False)
@@ -59,50 +59,12 @@ class TestDataclass:
 
 
 class TestEquivalenceWithLegacyKwargs:
-    def test_extract_sql_dialect(self):
-        catalog = _catalog()
-        with pytest.deprecated_call():
-            legacy = extract_sql(SOURCE, "unfinished", catalog, dialect="postgres")
-        modern = extract_sql(
-            SOURCE, "unfinished", catalog, options=ExtractOptions(dialect="postgres")
-        )
-        assert legacy.status == modern.status
-        assert legacy.variables["names"].sql == modern.variables["names"].sql
-
-    def test_extract_sql_ordering_and_temp_tables(self):
-        catalog = _catalog()
-        with pytest.deprecated_call():
-            legacy = extract_sql(
-                SOURCE,
-                "unfinished",
-                catalog,
-                ordering_matters=False,
-                allow_temp_tables=True,
-            )
-        modern = extract_sql(
-            SOURCE,
-            "unfinished",
-            catalog,
-            options=ExtractOptions(ordering_matters=False, allow_temp_tables=True),
-        )
-        assert legacy.variables["names"].sql == modern.variables["names"].sql
-
-    def test_optimize_program_policy(self):
-        with pytest.deprecated_call():
-            legacy = optimize_program(
-                FIND_MAX_SCORE, "findMaxScore", matoso_catalog(), policy="heuristic"
-            )
-        modern = optimize_program(
-            FIND_MAX_SCORE,
-            "findMaxScore",
-            matoso_catalog(),
-            options=ExtractOptions(policy="heuristic"),
-        )
-        assert legacy.rewritten_loops == modern.rewritten_loops
-        assert legacy.variables["scoreMax"].sql == modern.variables["scoreMax"].sql
+    """The loose keywords are gone: every knob travels in ``options=``."""
 
     def test_mixing_styles_is_an_error(self):
         catalog = _catalog()
+        with pytest.raises(TypeError):
+            extract_sql(SOURCE, "unfinished", catalog, dialect="mysql")
         with pytest.raises(TypeError):
             extract_sql(
                 SOURCE,
@@ -123,11 +85,10 @@ class TestEquivalenceWithLegacyKwargs:
     def test_options_must_be_extract_options(self):
         with pytest.raises(TypeError):
             extract_sql(SOURCE, "unfinished", _catalog(), options={"dialect": "repro"})
-
-    def test_unknown_policy_still_value_error(self):
-        with pytest.deprecated_call():
-            with pytest.raises(ValueError):
-                optimize_program(SOURCE, "unfinished", _catalog(), policy="bogus")
+        with pytest.raises(TypeError):
+            optimize_program(
+                SOURCE, "unfinished", _catalog(), options={"dialect": "repro"}
+            )
 
 
 class TestReportToDict:

@@ -1,13 +1,63 @@
-"""Cost-based rewriting tests (Appendix C)."""
+"""Cost-based rewriting tests (Appendix C): the AND-OR memo, the rewrite
+cost model, and the single selector's loop verdicts."""
 
 import pytest
 
-from repro.core import extract_sql
-from repro.cost import AndNode, CostModel, Memo, cost_based_plan
+from repro.core import ExtractOptions, extract_sql, optimize_program
+from repro.db.andor import AndNode, Memo
+from repro.rewrites import AlternativeCostModel, plan_rewrites
+from repro.rewrites.profile import LOCAL
 from repro.sqlparse import parse_query
 from repro.workloads import sample, wilos_catalog, wilos_database
 
 _CATALOG = wilos_catalog()
+PROFILES = ("local", "wan")
+
+# The two Figure 7(a) shapes: an extractable aggregate beside a variable
+# that keeps the rows flowing to the client.
+FIGURE7A_SHAPES = (
+    """
+    f(pivot) {
+        q = executeQuery("from Project as p");
+        total = 0;
+        weird = null;
+        for (t : q) {
+            total = total + t.getBudget();
+            if (t.getName().compareTo(pivot) > 0) { weird = t.getName(); }
+        }
+        return new Pair(total, weird);
+    }
+    """,
+    """
+    f() {
+        q = executeQuery("from Project as p");
+        agg = 0;
+        pretty = null;
+        for (t : q) {
+            agg = agg + t.getBudget();
+            pretty = t.getName().substring(0, 3);
+        }
+        return new Pair(agg, pretty);
+    }
+    """,
+)
+
+
+def _verdicts(source, function, database):
+    """``{profile: [(chosen kind, as-written wins)]}`` with observed
+    cardinalities, plus the loops ``optimize_program`` rewrites."""
+    report = extract_sql(source, function, _CATALOG)
+    out = {}
+    for profile in PROFILES:
+        plan = plan_rewrites(report, _CATALOG, profile, database=database)
+        rewritten = optimize_program(
+            source, function, _CATALOG, options=ExtractOptions(profile=profile)
+        ).rewritten_loops
+        out[profile] = (
+            [(c.chosen.kind, c.as_written_wins) for c in plan.choices],
+            rewritten,
+        )
+    return out
 
 
 class TestMemo:
@@ -51,7 +101,7 @@ class TestMemo:
 class TestCostModel:
     def setup_method(self):
         self.db = wilos_database(scale=100, catalog=_CATALOG)
-        self.model = CostModel(self.db)
+        self.model = AlternativeCostModel(LOCAL, self.db)
 
     def test_table_cardinality_from_database(self):
         estimate = self.model.cardinality(parse_query("select * from project"))
@@ -81,45 +131,33 @@ class TestCostModel:
 
     def test_unknown_table_uses_default(self):
         estimate = self.model.cardinality(parse_query("select * from nonexistent"))
-        assert estimate.rows == 1000.0
+        assert estimate.rows == LOCAL.default_table_rows
 
 
 class TestCostBasedPlan:
     def test_rewrites_clean_aggregation(self):
         db = wilos_database(scale=100, catalog=_CATALOG)
-        report = extract_sql(sample(9).source, sample(9).function, _CATALOG)
-        plan = cost_based_plan(report, db)
-        assert plan.rewrite_loops
+        s = sample(9)
+        for profile, (verdicts, rewritten) in _verdicts(
+            s.source, s.function, db
+        ).items():
+            assert verdicts == [("pushdown", False)], profile
+            assert rewritten, profile
 
     def test_declines_figure7a(self):
-        source = """
-        f(pivot) {
-            q = executeQuery("from Project as p");
-            total = 0;
-            weird = null;
-            for (t : q) {
-                total = total + t.getBudget();
-                if (t.getName().compareTo(pivot) > 0) { weird = t.getName(); }
-            }
-            return new Pair(total, weird);
-        }
-        """
         db = wilos_database(scale=100, catalog=_CATALOG)
-        report = extract_sql(source, "f", _CATALOG)
-        plan = cost_based_plan(report, db)
-        assert not plan.rewrite_loops
-        assert plan.keep_loops
+        for source in FIGURE7A_SHAPES:
+            for profile, (verdicts, rewritten) in _verdicts(source, "f", db).items():
+                assert verdicts == [("as-written", False)], profile
+                assert not rewritten, profile
 
     def test_n_plus_one_always_rewritten(self):
         """Eliminating a per-row query is worth it at any size."""
-        db = wilos_database(scale=100, catalog=_CATALOG)
-        report = extract_sql(sample(10).source, sample(10).function, _CATALOG)
-        plan = cost_based_plan(report, db)
-        assert plan.rewrite_loops
-
-    def test_plan_reports_memo_size(self):
-        db = wilos_database(scale=50, catalog=_CATALOG)
-        report = extract_sql(sample(9).source, sample(9).function, _CATALOG)
-        plan = cost_based_plan(report, db)
-        assert plan.memo_size >= 2
-        assert plan.total_cost_ms > 0
+        s = sample(10)
+        for scale in (10, 100, 200):
+            db = wilos_database(scale=scale, catalog=_CATALOG)
+            for profile, (verdicts, rewritten) in _verdicts(
+                s.source, s.function, db
+            ).items():
+                assert [wins for _, wins in verdicts] == [False], (scale, profile)
+                assert rewritten, (scale, profile)

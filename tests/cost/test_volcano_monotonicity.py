@@ -1,6 +1,6 @@
 """Seeded-random monotonicity properties of the cost model (Appendix C).
 
-The AND-OR search in :mod:`repro.cost.volcano` is only sound if the
+Cost-based rewrite selection (:mod:`repro.rewrites`) is only sound if the
 underlying estimates behave like a plausible optimizer's: restricting a
 query can never make it look *bigger*.  These properties are checked over
 randomly generated operator trees — no hypothesis dependency, failures
@@ -30,7 +30,9 @@ from repro.algebra import (
     SortKey,
     Table,
 )
-from repro.cost import CostModel
+from repro.rewrites import AlternativeCostModel
+from repro.rewrites.alternatives import KIND_AS_WRITTEN, Alternative, Site
+from repro.rewrites.profile import LOCAL
 from repro.sqlparse import combine_conjunctive, parse_query
 
 _TABLES = ["orders", "players", "visits", "reviews"]
@@ -66,7 +68,7 @@ class TestCardinalityMonotonicity:
     def test_selection_never_increases_cardinality(self, seed):
         """card(σ_p(Q)) ≤ card(Q) for any tree Q and predicate p."""
         rng = random.Random(seed)
-        model = CostModel()
+        model = AlternativeCostModel(LOCAL)
         for _ in range(100):
             tree = _random_tree(rng)
             base = model.cardinality(tree).rows
@@ -78,7 +80,7 @@ class TestCardinalityMonotonicity:
         """Same property through the SQL front end: adding one more
         conjunct via combine_conjunctive never increases the estimate."""
         rng = random.Random(100 + seed)
-        model = CostModel()
+        model = AlternativeCostModel(LOCAL)
         for _ in range(50):
             table = rng.choice(_TABLES)
             query = parse_query(
@@ -90,7 +92,7 @@ class TestCardinalityMonotonicity:
     @pytest.mark.parametrize("seed", range(4))
     def test_limit_never_increases_cardinality(self, seed):
         rng = random.Random(200 + seed)
-        model = CostModel()
+        model = AlternativeCostModel(LOCAL)
         for _ in range(60):
             tree = _random_tree(rng)
             n = rng.randint(1, 50)
@@ -101,7 +103,7 @@ class TestCardinalityMonotonicity:
     def test_distinct_and_sort_shape(self, seed):
         """δ never increases cardinality; τ preserves it exactly."""
         rng = random.Random(300 + seed)
-        model = CostModel()
+        model = AlternativeCostModel(LOCAL)
         for _ in range(60):
             tree = _random_tree(rng)
             base = model.cardinality(tree).rows
@@ -112,7 +114,7 @@ class TestCardinalityMonotonicity:
     @pytest.mark.parametrize("seed", range(4))
     def test_scalar_aggregate_is_one_row(self, seed):
         rng = random.Random(400 + seed)
-        model = CostModel()
+        model = AlternativeCostModel(LOCAL)
         for _ in range(40):
             tree = _random_tree(rng)
             agg = Aggregate(tree, (), (AggItem(AggCall("count", None), "agg"),))
@@ -125,7 +127,7 @@ class TestCostMonotonicity:
         """The same scan with a smaller result can't cost more: cost(σ_p(Q))
         ≤ cost(Q).  (Scanned rows are identical; only transfer shrinks.)"""
         rng = random.Random(500 + seed)
-        model = CostModel()
+        model = AlternativeCostModel(LOCAL)
         for _ in range(100):
             tree = _random_tree(rng)
             base = model.query_cost_ms(tree)
@@ -135,14 +137,33 @@ class TestCostMonotonicity:
     @pytest.mark.parametrize("seed", range(4))
     def test_cost_bounded_below_by_round_trip(self, seed):
         rng = random.Random(600 + seed)
-        model = CostModel()
+        model = AlternativeCostModel(LOCAL)
         for _ in range(60):
             tree = _random_tree(rng)
             assert model.query_cost_ms(tree) >= model.cost.round_trip_ms
 
     def test_per_row_queries_scale_linearly(self):
-        model = CostModel()
-        inner = parse_query("select * from orders where id = 1")
-        one = model.per_row_queries_cost_ms(1.0, inner)
-        ten = model.per_row_queries_cost_ms(10.0, inner)
+        """The as-written N+1 loop pays one round trip per outer row and
+        per-row query, on top of the outer query's single trip."""
+
+        def per_row_trips(outer_rows: float) -> float:
+            model = AlternativeCostModel(LOCAL.with_tables({"orders": outer_rows}))
+            site = Site(
+                function="f",
+                loop_sid=1,
+                variables=["x"],
+                outer_rel=parse_query("select * from orders"),
+                inner_lookups=[],
+                residual_inner_queries=2,
+            )
+            as_written = Alternative(KIND_AS_WRITTEN, program=None, description="")
+            cost = model.breakdown(site, as_written)
+            assert cost.round_trip_ms == pytest.approx(
+                cost.round_trips * LOCAL.cost.round_trip_ms
+            )
+            return cost.round_trips - 1.0
+
+        one = per_row_trips(1.0)
+        ten = per_row_trips(10.0)
+        assert one == 2.0
         assert abs(ten - 10.0 * one) < 1e-9

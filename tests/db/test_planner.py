@@ -315,13 +315,6 @@ class TestExplain:
         scan = explain["children"][0]
         assert scan["rows_scanned"] == 1  # streaming: only one row pulled
 
-    def test_explain_cost_feeds_cost_model(self, database):
-        from repro.cost.model import CostModel
-
-        explain = database.explain(Table("project"))
-        cost = CostModel(database).explain_cost_ms(explain)
-        assert cost > 0
-
 
 class TestSatelliteFixes:
     def test_left_join_empty_right_pads_columns(self, database):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import generate_alternatives
+from repro import ExtractOptions, extract_sql, generate_alternatives, optimize_program
 from repro.core import STATUS_SUCCESS
 from repro.lang import parse_program, unparse_program
 
@@ -126,3 +126,32 @@ class TestKnownSites:
                 assert unparse_program(baseline.program) == unparse_program(
                     report.original
                 )
+
+
+class TestMalformedQueries:
+    SOURCE = """
+    f() {
+        orders = executeQuery("from Orders as o limit x");
+        total = 0;
+        for (o : orders) {
+            cid = o.getId();
+            t = executeScalar("select t.amount from Tiers t where t.custId = :cid limit x");
+            total = total + o.getAmount() + t;
+        }
+        return total;
+    }
+    """
+
+    def test_malformed_literal_query_leaves_an_as_written_site(self, examples_catalog):
+        report = extract_sql(self.SOURCE, "f", examples_catalog)
+        assert report.variables["total"].status == "failed"
+        [site] = generate_alternatives(report, examples_catalog)
+        assert site.kinds == ["as-written"]
+        assert site.outer_rel is None
+        assert site.inner_lookups == [] and site.residual_inner_queries == 1
+
+        optimized = optimize_program(
+            self.SOURCE, "f", examples_catalog, options=ExtractOptions(profile="wan")
+        )
+        assert optimized.rewritten_loops == []
+        assert optimized.rewrite_plan.choices[0].chosen.kind == "as-written"

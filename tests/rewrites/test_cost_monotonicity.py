@@ -44,7 +44,7 @@ def _profile(rtt: float, table_rows: dict[str, float]):
     return replace(
         LOCAL,
         name=f"sweep-{rtt}",
-        round_trip_ms=rtt,
+        cost=replace(LOCAL.cost, round_trip_ms=rtt),
         table_rows=tuple(sorted(table_rows.items())),
     )
 

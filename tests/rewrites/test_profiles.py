@@ -6,7 +6,13 @@ from dataclasses import replace
 
 import pytest
 
-from repro import DeploymentProfile, ExtractOptions, get_profile, register_profile
+from repro import (
+    CostParameters,
+    DeploymentProfile,
+    ExtractOptions,
+    get_profile,
+    register_profile,
+)
 from repro.rewrites.profile import LOCAL, PROFILES, WAN
 
 
@@ -18,8 +24,8 @@ class TestBuiltins:
 
     def test_wan_is_chattier_than_local(self):
         """The two built-ins must actually disagree on the decisive axis."""
-        assert WAN.round_trip_ms > 10 * LOCAL.round_trip_ms
-        assert WAN.bytes_per_ms < LOCAL.bytes_per_ms
+        assert WAN.cost.round_trip_ms > 10 * LOCAL.cost.round_trip_ms
+        assert WAN.cost.bytes_per_ms < LOCAL.cost.bytes_per_ms
 
     def test_get_profile_by_name_and_passthrough(self):
         assert get_profile("wan") is WAN
@@ -30,7 +36,9 @@ class TestBuiltins:
             get_profile("datacentre")
 
     def test_register_profile(self):
-        custom = replace(LOCAL, name="test-registered", round_trip_ms=5.0)
+        custom = replace(
+            LOCAL, name="test-registered", cost=CostParameters(round_trip_ms=5.0)
+        )
         try:
             register_profile(custom)
             assert get_profile("test-registered") is custom
@@ -45,11 +53,13 @@ class TestValidation:
 
     def test_rejects_negative_latency(self):
         with pytest.raises(ValueError, match="negative/zero"):
-            DeploymentProfile(name="bad", round_trip_ms=-1.0)
+            DeploymentProfile(
+                name="bad", cost=CostParameters(round_trip_ms=-1.0)
+            )
 
     def test_rejects_zero_bandwidth(self):
         with pytest.raises(ValueError, match="negative/zero"):
-            DeploymentProfile(name="bad", bytes_per_ms=0.0)
+            DeploymentProfile(name="bad", cost=CostParameters(bytes_per_ms=0.0))
 
     @pytest.mark.parametrize("selectivity", [0.0, -0.5, 1.5])
     def test_rejects_out_of_range_selectivity(self, selectivity):
@@ -57,7 +67,9 @@ class TestValidation:
             DeploymentProfile(name="bad", selectivity=selectivity)
 
     def test_zero_latency_is_allowed(self):
-        assert DeploymentProfile(name="colocated", round_trip_ms=0.0)
+        assert DeploymentProfile(
+            name="colocated", cost=CostParameters(round_trip_ms=0.0)
+        )
 
 
 class TestCardinalities:
@@ -90,10 +102,13 @@ class TestSerialization:
             DeploymentProfile.from_dict(["local"])
 
     def test_cost_parameters_mirror_profile(self):
-        params = WAN.cost_parameters()
-        assert params.round_trip_ms == WAN.round_trip_ms
-        assert params.bytes_per_ms == WAN.bytes_per_ms
-        assert params.per_query_overhead_ms == WAN.per_query_overhead_ms
+        """The flat JSON shape carries the profile's one cost record."""
+        data = WAN.to_dict()
+        assert "cost" not in data
+        assert data["round_trip_ms"] == WAN.cost.round_trip_ms == 40.0
+        assert data["bytes_per_ms"] == WAN.cost.bytes_per_ms
+        assert data["per_query_overhead_ms"] == WAN.cost.per_query_overhead_ms
+        assert DeploymentProfile.from_dict(data).cost == WAN.cost
 
 
 class TestOptionsWiring:

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro import ExtractOptions, extract_sql, plan_rewrites
+from repro import CostParameters, ExtractOptions, extract_sql, plan_rewrites
 from repro.rewrites import AlternativeCostModel, select_alternative
 from repro.rewrites.alternatives import Alternative, Site
 from repro.rewrites.profile import LOCAL
@@ -56,10 +56,12 @@ class TestTieBreak:
         free = replace(
             LOCAL,
             name="free",
-            round_trip_ms=0.0,
-            per_result_row_ms=0.0,
-            per_scanned_row_ms=0.0,
-            per_query_overhead_ms=0.0,
+            cost=CostParameters(
+                round_trip_ms=0.0,
+                per_result_row_ms=0.0,
+                per_scanned_row_ms=0.0,
+                per_query_overhead_ms=0.0,
+            ),
             client_row_ms=0.0,
             row_bytes=0.0,
         )

@@ -223,3 +223,12 @@ class TestErrors:
 
     def test_trailing_semicolon_ok(self):
         assert parse_query("select * from t;") == Table("t")
+
+    def test_non_integer_limit(self):
+        with pytest.raises(SqlParseError, match="LIMIT"):
+            parse_query("from t limit x")
+
+    def test_deep_nesting_is_a_parse_error(self):
+        nested = "(" * 3000 + "1" + ")" * 3000
+        with pytest.raises(SqlParseError, match="nested too deeply"):
+            parse_query(f"select a from t where a = {nested}")

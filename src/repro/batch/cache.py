@@ -17,7 +17,6 @@ treated as misses and overwritten.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from pathlib import Path
@@ -60,6 +59,15 @@ def cache_key(
         sort_keys=True,
         separators=(",", ":"),
     )
+    return sha256_hex(payload)
+
+
+def sha256_hex(payload: str) -> str:
+    """Hex SHA-256 of ``payload``'s UTF-8 bytes."""
+    # Imported here: hashlib loads OpenSSL (~3.5 MB resident), which only
+    # cache keys need, not every importer of the package.
+    import hashlib
+
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 

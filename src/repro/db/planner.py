@@ -24,6 +24,9 @@ Lowerings considered:
 * ``σ`` with equality conjuncts over a base table → :class:`IndexLookup`
   (auto-indexed on declared key columns, or on explicitly registered
   indexes); with several indexed conjuncts the NDV-best one is probed.
+  Inside an OUTER APPLY's right side the probe may be correlated with the
+  apply's outer scope (the names every left row carries), and such a probe
+  is indexed on any column.
 * ``σ`` whose predicate conjoins an ``EXISTS`` subquery → hash
   semi/anti-join, decorrelating equality conjuncts between inner and outer
   columns; uncorrelated ``EXISTS`` degenerates to a single emptiness probe.
@@ -82,7 +85,7 @@ from .columnar import (
     supported_expr,
     supported_join_expr,
 )
-from .engine import Database, EngineError
+from .engine import Database, EngineError, _output_names_best_effort
 from .physical import (
     AliasOp,
     ApplyOp,
@@ -205,6 +208,26 @@ def scope_names(node: RelExpr, catalog: Catalog) -> frozenset[str] | None:
     return None  # OuterApply and anything unknown: inexact
 
 
+def guaranteed_names(node: RelExpr, catalog: Catalog) -> frozenset[str]:
+    """Names present on *every* row of ``node`` — a subset of its keys,
+    unlike :func:`scope_names`, which must be exact.
+
+    An OUTER APPLY row carries its left row plus either a matched right row
+    (every name of the right scope) or the NULL padding (only the names
+    :func:`_output_names_best_effort` pads).  Qualified pass-through
+    columns of the right side are therefore *not* guaranteed: a padded row
+    lacks them, and a later reference to one falls back to its bare name.
+    Any shape whose scope is unknown guarantees nothing."""
+    if isinstance(node, OuterApply):
+        left = guaranteed_names(node.left, catalog)
+        right = scope_names(node.right, catalog)
+        if right is None:
+            return left
+        padded = frozenset(_output_names_best_effort(node.right, catalog))
+        return left | (right & padded)
+    return scope_names(node, catalog) or frozenset()
+
+
 def _resolves_strictly(col: Col, names: frozenset[str]) -> bool:
     """True when ``col`` gets a direct hit in a row with exactly ``names``
     (no bare-name fallback of a qualified reference, no suffix fallback) —
@@ -313,6 +336,10 @@ class Planner:
         self.memo = Memo()
         self._alternatives = 0
         self._choices: list[dict] = []
+        #: While lowering an OUTER APPLY's right side: the names every
+        #: outer row it runs under is guaranteed to carry.  ``None``
+        #: elsewhere — the outer scope is unknown.
+        self._outer_scope: frozenset[str] | None = None
 
     # ------------------------------------------------------------------
 
@@ -386,10 +413,24 @@ class Planner:
             allow = isinstance(node.child, Aggregate)
             return LimitOp(self._lower(node.child, allow_columnar=allow), node.count)
         if isinstance(node, OuterApply):
-            return ApplyOp(self._lower(node.left), self._lower(node.right), node)
+            return ApplyOp(self._lower(node.left), self._lower_applied(node), node)
         if isinstance(node, Alias):
             return AliasOp(self._lower(node.child), node.name)
         raise EngineError(f"cannot evaluate {type(node).__name__}")
+
+    def _lower_applied(self, node: OuterApply) -> PhysicalOp:
+        """Lower an apply's right side knowing its outer scope: every
+        operator below passes its outer row through unchanged, so each
+        one sees the left row merged over the apply's own outer row — the
+        enclosing apply's scope when nested."""
+        saved = self._outer_scope
+        self._outer_scope = guaranteed_names(node.left, self.catalog) | (
+            saved or frozenset()
+        )
+        try:
+            return self._lower(node.right)
+        finally:
+            self._outer_scope = saved
 
     # ------------------------------------------------------------------
     # Selection
@@ -658,14 +699,17 @@ class Planner:
         """Build ``σ[col = expr AND ...](T)`` as a hash-index point lookup.
 
         Applies when a probed column is part of the table's declared key
-        (auto-indexed on first use) or carries an explicitly registered
-        index, and the probe expression cannot see the table's row.  Among
-        several indexable conjuncts, the one with the highest NDV (fewest
-        expected matches) is probed.  Returns ``(plan, estimated_rows)`` or
-        ``(None, None)``."""
+        (auto-indexed on first use) or carries a registered index, and the
+        probe expression resolves the same with or without the table's row
+        merged in (:func:`_outer_side_safe` against the known outer scope).
+        A probe correlated with an OUTER APPLY's outer scope earns an
+        auto-built index on any column.  Among several indexable
+        conjuncts, the one with the highest NDV (fewest expected matches) is
+        probed.  Returns ``(plan, estimated_rows)`` or ``(None, None)``."""
         table = node.child
         if not isinstance(table, Table) or table.name not in self.catalog:
             return None, None
+        outer = self._outer_scope
         names = scope_names(table, self.catalog)
         columns = set(self.catalog.get(table.name).column_names())
         declared_key = set(self.catalog.get(table.name).key)
@@ -683,10 +727,14 @@ class Planner:
                     continue
                 if _has_subquery(probe):
                     continue
-                if any(_interferes(c, names) for c in _cols_of(probe)):
+                probe_cols = _cols_of(probe)
+                if not all(_outer_side_safe(c, names, outer) for c in probe_cols):
                     continue
-                indexed = col.name in declared_key or self.db.has_index(
-                    table.name, col.name
+                indexed = (
+                    col.name in declared_key
+                    or self.db.has_index(table.name, col.name)
+                    # A correlated probe under an apply reruns per outer row.
+                    or (outer is not None and bool(probe_cols))
                 )
                 if not indexed:
                     continue

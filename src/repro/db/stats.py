@@ -49,6 +49,7 @@ from ..algebra import (
     UnOp,
     walk_relational,
 )
+from .engine import EngineError
 from .types import is_truthy
 
 #: Equi-width histogram resolution (buckets per numeric column).
@@ -357,9 +358,12 @@ class CardinalityEstimator:
     # Table-level lookups
 
     def stats(self, table: str) -> TableStats | None:
+        """The table's statistics, or ``None`` for an unknown table (the
+        only error ``Database.stats`` raises; mixed-type and unhashable
+        columns build statistics without raising)."""
         try:
             return self._db.stats(table)
-        except Exception:
+        except EngineError:
             return None
 
     def table_rows(self, table: str) -> float:

@@ -9,14 +9,19 @@ same serial-or-pool execution with order-preserving results.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import multiprocessing
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..batch.cache import CACHE_DIR_NAME, CACHE_FORMAT, NullCache, ResultCache
+from ..batch.cache import (
+    CACHE_DIR_NAME,
+    CACHE_FORMAT,
+    NullCache,
+    ResultCache,
+    sha256_hex,
+)
 from ..batch.discovery import WorkUnit, plan_units
 from ..frontends import DEFAULT_FRONTEND, get_frontend
 from .diagnostics import Severity
@@ -45,7 +50,7 @@ def lint_cache_key(
         sort_keys=True,
         separators=(",", ":"),
     )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return sha256_hex(payload)
 
 
 def lint_unit(unit: WorkUnit) -> dict:

@@ -1,7 +1,12 @@
 """Content-addressed cache: keys, persistence, invalidation."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import repro
 from repro import Catalog, ExtractOptions
 from repro.batch import NullCache, ResultCache, cache_key
 
@@ -18,6 +23,17 @@ class TestCacheKey:
         b = cache_key(SOURCE, "f", _catalog(), ExtractOptions())
         assert a == b
         assert len(a) == 64  # sha256 hex
+
+    def test_importing_the_package_does_not_load_hashlib(self):
+        # hashlib loads OpenSSL (~3.5 MB resident); only key computation
+        # needs it, so it is imported there.
+        probe = "import sys, repro; print('hashlib' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+        result = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True,
+            check=True, env=env,
+        )
+        assert result.stdout.strip() == "False"
 
     def test_source_edit_changes_key(self):
         base = cache_key(SOURCE, "f", _catalog(), ExtractOptions())

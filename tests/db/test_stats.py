@@ -198,6 +198,35 @@ class TestCardinalityEstimator:
         assert est.table_rows("missing") == 0.0
         assert est.ndv("missing", "x") is None
 
+    def test_unknown_table_is_the_only_swallowed_error(self, monkeypatch):
+        db = _make_db(10)
+        est = CardinalityEstimator(db)
+        assert est.stats("missing") is None
+
+        def broken(name, sample=None):
+            raise RuntimeError("statistics bug")
+
+        monkeypatch.setattr(db, "stats", broken)
+        with pytest.raises(RuntimeError, match="statistics bug"):
+            est.stats("t")
+
+    @pytest.mark.parametrize("rows", [40, 20_000])  # exact and sampled builds
+    def test_mixed_and_unhashable_columns_build_stats(self, rows):
+        cat = Catalog()
+        cat.define("m", ["id", "mixed", "blob"], key=("id",))
+        db = Database(cat)
+        db.insert_many(
+            "m",
+            [
+                {"id": i, "mixed": i if i % 3 else f"s{i}", "blob": [i]}
+                for i in range(rows)
+            ],
+        )
+        est = CardinalityEstimator(db)
+        assert est.table_rows("m") == float(rows)
+        assert est.ndv("m", "mixed") is not None
+        assert est.ndv("m", "blob") is not None
+
 
 class TestPlanCacheEpochs:
     QUERY = Select(Table("t"), BinOp("=", Col("grp"), Lit(3)))

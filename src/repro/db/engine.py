@@ -66,7 +66,7 @@ from .types import (
 #: Engines `Database.execute` understands.
 ENGINES = ("planned", "reference", "both")
 
-#: Plan-cache size bound: beyond this many distinct trees the cache resets.
+#: Plan-cache size bound: beyond this many plans (variants too) it resets.
 _PLAN_CACHE_LIMIT = 256
 
 
@@ -101,12 +101,18 @@ class Database:
         #: (table, column) pairs whose values turned out unhashable.
         self._unindexable: set[tuple[str, str]] = set()
         #: Physical plan cache keyed on the (hashable) algebra tree; each
-        #: entry stores ``(stats_epoch, plan, search)`` so a plan chosen for
-        #: one data distribution is never reused after the distribution
-        #: changes, and cache hits still restore ``last_plan_search``.
+        #: entry stores ``(stats_epoch, variants)`` so a plan chosen for one
+        #: data distribution is never reused after the distribution
+        #: changes.  Each ``(plan, search, reads)`` variant restores
+        #: ``last_plan_search`` on a hit, and serves only slot values its
+        #: estimator ``reads`` still hold for.
         self._plan_cache: dict[RelExpr, Any] = {}
+        self._plan_variants = 0
         self.plan_cache_hits = 0
         self.plan_cache_misses = 0
+        #: Lookups that found the tree at the current epoch but re-planned
+        #: because no variant's estimates held for the new slot values.
+        self.plan_cache_replans = 0
         #: Cached column arrays per table (columnar execution reads these).
         self._columns: dict[str, dict[str, list]] = {}
         #: Cached statistics per table (built lazily from the column cache).
@@ -138,7 +144,7 @@ class Database:
         self._tables[name.lower()] = []
         self._invalidate(name)
         # New tables can change name resolution and index choices.
-        self._plan_cache.clear()
+        self._clear_plans()
 
     def insert(self, name: str, row: Row) -> None:
         """Insert one row (missing columns become NULL)."""
@@ -183,7 +189,7 @@ class Database:
             raise EngineError(f"no column {column!r} on table {name!r}")
         self._indexes.setdefault((name.lower(), column), None)
         # Index availability changes plan choices.
-        self._plan_cache.clear()
+        self._clear_plans()
 
     def has_index(self, name: str, column: str) -> bool:
         return (name.lower(), column) in self._indexes
@@ -331,31 +337,50 @@ class Database:
         if mode != self._columnar_mode:
             self._columnar_mode = mode
             # Plans embed the mode's lowering choices.
-            self._plan_cache.clear()
+            self._clear_plans()
 
     # ------------------------------------------------------------------
     # Query evaluation
 
-    def plan(self, query: RelExpr):
+    def plan(self, query: RelExpr, params: dict[str, Any] | None = None):
         """Return the (cached) physical plan for an algebra tree.
 
         Entries are keyed by the statistics epoch they were planned under:
         a plan chosen when a table was empty (or differently distributed)
-        is re-planned — not reused — after the data changes.
+        is re-planned — not reused — after the data changes.  The planner
+        estimates with the slot values (``$0``, ...) in ``params``; a plan
+        serves other slot values only if every estimate that read a slot
+        answers the same, else the tree gets another variant (a re-plan).
         """
-        entry = self._plan_cache.get(query)
-        if entry is not None and entry[0] == self._stats_epoch:
-            self.plan_cache_hits += 1
-            self.last_plan_search = entry[2]
-            return entry[1]
         from .planner import Planner
+        from .stats import CardinalityEstimator
 
+        entry = self._plan_cache.get(query)
+        variants = []
+        if entry is not None and entry[0] == self._stats_epoch:
+            for plan, search, reads in entry[1]:
+                if CardinalityEstimator.reads_hold(reads, params):
+                    self.plan_cache_hits += 1
+                    self.last_plan_search = search
+                    return plan
+            variants = entry[1]
+            self.plan_cache_replans += 1
         self.plan_cache_misses += 1
-        plan = Planner(self).lower(query)
-        if len(self._plan_cache) >= _PLAN_CACHE_LIMIT:
-            self._plan_cache.clear()
-        self._plan_cache[query] = (self._stats_epoch, plan, self.last_plan_search)
+        planner = Planner(self, bindings=params)
+        plan = planner.lower(query)
+        if variants:
+            self.last_plan_search["replanned"] = "estimate changed"
+        if self._plan_variants >= _PLAN_CACHE_LIMIT:
+            self._clear_plans()
+            variants = []
+        variants.append((plan, self.last_plan_search, tuple(planner.estimator.reads)))
+        self._plan_cache[query] = (self._stats_epoch, variants)
+        self._plan_variants += 1
         return plan
+
+    def _clear_plans(self) -> None:
+        self._plan_cache.clear()
+        self._plan_variants = 0
 
     def execute(
         self,
@@ -389,7 +414,7 @@ class Database:
 
         from .physical import ExecContext, explain_plan
 
-        plan = self.plan(query)
+        plan = self.plan(query, params)
         ctx = ExecContext(self, params or {})
         rows = list(plan.execute(ctx))
         explain = explain_plan(plan, ctx)
@@ -409,7 +434,7 @@ class Database:
                 # ≡ row ≡ reference all hold.
                 from .planner import Planner
 
-                row_plan = Planner(self, columnar="off").lower(query)
+                row_plan = Planner(self, columnar="off", bindings=params).lower(query)
                 row_rows = list(row_plan.execute(ExecContext(self, params or {})))
                 if rows != row_rows:
                     raise EngineDivergenceError(

@@ -58,7 +58,7 @@ class PlannedScalarEvaluator(ReferenceEvaluator):
         self._ctx = ctx
 
     def eval_rel(self, node: RelExpr, outer: Row | None = None) -> list[Row]:
-        plan = self._ctx.db.plan(node)
+        plan = self._ctx.db.plan(node, self._ctx.params)
         return list(plan.execute(self._ctx, outer))
 
 

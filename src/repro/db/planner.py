@@ -325,14 +325,15 @@ class Planner:
     ``columnar`` overrides the database's columnar mode for this lowering:
     ``"auto"`` (cost + statistics threshold), ``"off"`` (row operators
     only), or ``"force"`` (columnar wherever structurally supported — used
-    by differential tests and benchmarks to pin the engine).
+    by differential tests and benchmarks to pin the engine).  The
+    estimator reads slot values from ``bindings`` (see :meth:`Database.plan`).
     """
 
-    def __init__(self, db: Database, columnar: str | None = None):
+    def __init__(self, db: Database, columnar: str | None = None, bindings=None):
         self.db = db
         self.catalog = db.catalog
         self.columnar = columnar if columnar is not None else db.columnar_mode
-        self.estimator = CardinalityEstimator(db)
+        self.estimator = CardinalityEstimator(db, bindings)
         self.memo = Memo()
         self._alternatives = 0
         self._choices: list[dict] = []

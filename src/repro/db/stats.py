@@ -49,6 +49,7 @@ from ..algebra import (
     UnOp,
     walk_relational,
 )
+from ..sqlparse.parser import SLOT
 from .engine import EngineError
 from .types import is_truthy
 
@@ -351,8 +352,12 @@ class CardinalityEstimator:
     over every algebra tree the engine can execute.
     """
 
-    def __init__(self, db):
+    def __init__(self, db, bindings: Mapping[str, Any] | None = None):
         self._db = db
+        #: Slot values (``$0``, ...); other parameters stay unknown.
+        self._slots = {k: v for k, v in (bindings or {}).items() if k.startswith(SLOT)}
+        #: ``(slot, op, stats, flipped, selectivity)`` per slot read: a guard.
+        self.reads: list[tuple] = []
 
     # ------------------------------------------------------------------
     # Table-level lookups
@@ -417,6 +422,10 @@ class CardinalityEstimator:
             return self._clamp(1.0 - self._pred_sel(expr.operand, stats))
         if isinstance(expr, Lit):
             return 1.0 if is_truthy(expr.value) else 0.0
+        if isinstance(expr, Param) and expr.name in self._slots:
+            sel = self._value_sel(None, None, self._slots[expr.name], False)
+            self.reads.append((expr.name, None, None, False, sel))
+            return sel
         return DEFAULT_SELECTIVITY
 
     def _cmp_sel(self, op, left, right, stats: TableStats | None) -> float:
@@ -437,13 +446,35 @@ class CardinalityEstimator:
                 if op in ("=", "!=")
                 else DEFAULT_SELECTIVITY
             )
+        sel = self._value_sel(op, column, value, flipped)
+        slot = left if flipped else right
+        if isinstance(slot, Param) and slot.name in self._slots:
+            self.reads.append((slot.name, op, column, flipped, sel))
+        return sel
+
+    @classmethod
+    def _value_sel(cls, op, cs: ColumnStats | None, value, flipped: bool) -> float:
+        """Selectivity of ``column OP value`` (``op=None``: of ``value`` as a
+        whole predicate) — a function of its arguments alone."""
+        if op is None:
+            return 1.0 if is_truthy(value) else 0.0
         if op in ("<", ">", "<=", ">="):
             if flipped:
                 # value OP col  ≡  col (flipped OP) value
                 op = {"<": ">", ">": "<", "<=": ">=", ">=": "<="}[op]
-            return self._range_sel(op, column, value)
-        eq = self._eq_sel(column, value)
-        return eq if op == "=" else self._clamp(1.0 - eq)
+            return cls._range_sel(op, cs, value)
+        eq = cls._eq_sel(cs, value)
+        return eq if op == "=" else cls._clamp(1.0 - eq)
+
+    @classmethod
+    def reads_hold(cls, reads, params: Mapping[str, Any] | None) -> bool:
+        """True when every logged slot read answers the same for the slot
+        values in ``params``, so planning for them makes the same choices."""
+        params = params or {}
+        return all(
+            cls._value_sel(op, cs, params.get(slot, _UNKNOWN), flipped) == sel
+            for slot, op, cs, flipped, sel in reads
+        )
 
     def _column_vs_value(self, left, right, stats):
         """Split a comparison into (ColumnStats, value-or-_UNKNOWN, flipped);
@@ -460,10 +491,13 @@ class CardinalityEstimator:
                 return None, None, False
             if isinstance(other, Lit):
                 return cs, other.value, flipped
+            if isinstance(other, Param):
+                return cs, self._slots.get(other.name, _UNKNOWN), flipped
             return cs, _UNKNOWN, flipped
         return None, None, False
 
-    def _eq_sel(self, cs: ColumnStats, value) -> float:
+    @classmethod
+    def _eq_sel(cls, cs: ColumnStats, value) -> float:
         if cs.row_count == 0 or cs.ndv == 0:
             return 0.0
         if value is None:
@@ -474,9 +508,10 @@ class CardinalityEstimator:
                     return 0.0
             else:
                 return 0.0  # non-numeric literal against a numeric column
-        return self._clamp(1.0 / cs.ndv)
+        return cls._clamp(1.0 / cs.ndv)
 
-    def _range_sel(self, op: str, cs: ColumnStats, value) -> float:
+    @classmethod
+    def _range_sel(cls, op: str, cs: ColumnStats, value) -> float:
         if cs.row_count == 0:
             return 0.0
         if value is None:
@@ -501,7 +536,7 @@ class CardinalityEstimator:
             sel = 1.0 - le + point
         # Discount NULLs: they satisfy no comparison.
         non_null = (cs.row_count - cs.null_count) / cs.row_count
-        return self._clamp(sel * non_null)
+        return cls._clamp(sel * non_null)
 
     @staticmethod
     def _clamp(value: float) -> float:

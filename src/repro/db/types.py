@@ -84,6 +84,10 @@ def sql_avg(values: list) -> Any:
     return sum(values) / len(values)
 
 
+#: Wire sizes of the fixed-width exact types (subclasses take the slow path).
+_FIXED_SIZES = {type(None): 1, bool: 1, int: 8, float: 8}
+
+
 def value_size_bytes(value: Any) -> int:
     """Estimate the wire size of one value (for transfer accounting).
 
@@ -91,8 +95,11 @@ def value_size_bytes(value: Any) -> int:
     for the experiments' *shape*: fixed-width numerics, length-prefixed
     strings.
     """
-    if value is None:
-        return 1
+    size = _FIXED_SIZES.get(type(value))
+    if size is not None:
+        return size
+    if type(value) is str:
+        return 2 + (len(value) if value.isascii() else len(value.encode("utf-8")))
     if isinstance(value, bool):
         return 1
     if isinstance(value, int):

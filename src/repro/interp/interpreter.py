@@ -16,9 +16,6 @@ from __future__ import annotations
 
 from typing import Any
 
-from ..algebra import params_of, walk_scalar
-from ..algebra.expressions import Param
-from ..algebra.operators import Select, walk_relational
 from ..db import Connection
 from ..lang import (
     Assign,
@@ -49,7 +46,7 @@ from ..lang import (
     Unary,
     While,
 )
-from ..sqlparse import parse_query
+from ..sqlparse import parse_query, template_params
 from .values import (
     Entity,
     ResultCursor,
@@ -337,9 +334,9 @@ class Interpreter:
     def _run_query(self, text: str, env: dict[str, Any]) -> list[dict]:
         if not isinstance(text, str):
             raise InterpreterError("executeQuery argument must be a string")
-        query = parse_query(text)
-        params = {}
-        for name in sorted(_query_params(query)):
+        params: dict[str, Any] = {}
+        query = parse_query(text, params)
+        for name in template_params(query):
             if name not in env:
                 raise InterpreterError(f"query parameter :{name} is unbound")
             params[name] = env[name]
@@ -564,34 +561,6 @@ class Interpreter:
 
 
 _NO_STATIC = object()
-
-
-def _query_params(query) -> set[str]:
-    """Collect parameter names anywhere in a relational tree."""
-    names: set[str] = set()
-    for node in walk_relational(query):
-        if isinstance(node, Select):
-            names |= params_of(node.pred)
-        for attr in ("pred", "items", "keys", "group_by", "aggs"):
-            value = getattr(node, attr, None)
-            if value is None:
-                continue
-            exprs = []
-            if attr == "pred":
-                exprs = [value]
-            elif attr == "items":
-                exprs = [item.expr for item in value]
-            elif attr == "keys":
-                exprs = [key.expr for key in value]
-            elif attr == "group_by":
-                exprs = list(value)
-            elif attr == "aggs":
-                exprs = [item.call.arg for item in value if item.call.arg is not None]
-            for scalar in exprs:
-                for sub in walk_scalar(scalar):
-                    if isinstance(sub, Param):
-                        names.add(sub.name)
-    return names
 
 
 def run_program(

@@ -2,14 +2,18 @@
 
 from .parser import (
     SqlParseError,
+    bind_slots,
     combine_conjunctive,
     parse_query,
     register_aggregate_name,
+    template_params,
 )
 
 __all__ = [
     "SqlParseError",
+    "bind_slots",
     "combine_conjunctive",
     "parse_query",
     "register_aggregate_name",
+    "template_params",
 ]

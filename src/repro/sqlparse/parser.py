@@ -11,6 +11,8 @@ program variables.
 from __future__ import annotations
 
 import re
+from dataclasses import fields, replace
+from functools import lru_cache
 
 from ..algebra import (
     AggCall,
@@ -39,9 +41,20 @@ from ..algebra import (
     Table,
     UnOp,
     conjoin,
+    map_scalars,
+    query_params,
 )
 
 _AGG_FUNCS = {"sum", "min", "max", "avg", "count"}
+
+#: Slot parameter prefix: the tokenizer cannot produce it, so no collisions.
+SLOT = "$"
+
+#: Template memo bound: beyond this many query shapes the memo resets.
+_TEMPLATE_LIMIT = 256
+
+#: ``parse_query`` templates by masked token stream (never a parse error).
+_TEMPLATES: dict[tuple[str, ...], RelExpr] = {}
 
 
 def register_aggregate_name(name: str) -> None:
@@ -49,6 +62,8 @@ def register_aggregate_name(name: str) -> None:
     aggregate call (paper Section 5.2: "it is possible to use a custom
     aggregation function ... inside the database")."""
     _AGG_FUNCS.add(name.lower())
+    # ``name(x)`` parses differently now: memoised templates are stale.
+    _TEMPLATES.clear()
 
 _TOKEN_RE = re.compile(
     r"""
@@ -454,6 +469,9 @@ class _SqlParser:
         if token == "?":
             self._advance()
             return Param(f"p{self._pos}")
+        if token.startswith(SLOT):
+            self._advance()
+            return Param(token)
         if token.startswith("'"):
             self._advance()
             return Lit(token[1:-1].replace("''", "'"))
@@ -542,15 +560,105 @@ def _is_star(expr: ScalarExpr) -> bool:
     return isinstance(expr, Col) and expr.name == "*"
 
 
-def parse_query(text: str) -> RelExpr:
-    """Parse an SQL/HQL query string into a relational algebra tree."""
+def parse_query(text: str, bindings: dict | None = None) -> RelExpr:
+    """Parse an SQL/HQL query string into a relational algebra tree.
+
+    With a ``bindings`` dict, each number or string in a WHERE/ON/HAVING
+    predicate becomes a slot ``$0``, ``$1``, ... valued in ``bindings``, and
+    texts differing only in those literals share one memoised template.
+    Negative numbers, NULL/TRUE/FALSE and literals elsewhere stay literal.
+    """
     tokens = _tokenize(text.strip().rstrip(";"))
     if not tokens:
         raise SqlParseError("empty query")
+    if bindings is None:
+        return _parse(tokens)
+    shape, values = _lift_literals(tokens)
+    template = _TEMPLATES.get(shape)
+    if template is None:
+        try:
+            template = _parse(list(shape))
+        except SqlParseError:
+            # Report the error against the text as written (never cached).
+            return _parse(tokens)
+        if len(_TEMPLATES) >= _TEMPLATE_LIMIT:
+            _TEMPLATES.clear()
+        _TEMPLATES[shape] = template
+    for index, value in enumerate(values):
+        bindings[f"{SLOT}{index}"] = value
+    return template
+
+
+@lru_cache(maxsize=_TEMPLATE_LIMIT)
+def template_params(query: RelExpr) -> tuple[str, ...]:
+    """The named parameters (``:x``) a query needs bound, sorted — computed
+    once per template."""
+    return tuple(sorted(n for n in query_params(query) if not n.startswith(SLOT)))
+
+
+def bind_slots(query: RelExpr, bindings: dict) -> RelExpr:
+    """The literal tree a template stands for: each slot parameter bound in
+    ``bindings`` replaced by its value, inside subqueries too."""
+
+    def fill(expr: ScalarExpr) -> ScalarExpr:
+        if isinstance(expr, Param):
+            bound = expr.name.startswith(SLOT) and expr.name in bindings
+            return Lit(bindings[expr.name]) if bound else expr
+        changes = {}
+        for f in fields(expr):
+            value = getattr(expr, f.name)
+            if isinstance(value, ScalarExpr):
+                changes[f.name] = fill(value)
+            elif isinstance(value, RelExpr):
+                changes[f.name] = map_scalars(value, fill)
+            elif isinstance(value, tuple):
+                changes[f.name] = tuple(fill(v) for v in value)
+        return replace(expr, **changes)
+
+    return map_scalars(query, fill)
+
+
+def _parse(tokens: list[str]) -> RelExpr:
     try:
         return _SqlParser(tokens).parse_query()
     except RecursionError:
         raise SqlParseError("query nested too deeply") from None
+
+
+#: Keyword → the clause it opens, for finding predicate positions lexically.
+_CLAUSES = {"select": "select", "from": "from", "join": "from", "apply": "from",
+            "where": "pred", "on": "pred", "having": "pred",
+            "group": "by", "order": "by", "limit": "limit"}
+
+
+def _lift_literals(tokens: list[str]) -> tuple[tuple[str, ...], list]:
+    """Mask each number and string in a WHERE/ON/HAVING predicate with a
+    slot token; returns the masked stream (memo key and template source)
+    and the masked values.  Clauses are tracked per parenthesis depth; a
+    number after ``-`` or ``.`` stays (``-5`` is one literal, ``t.5`` a
+    column)."""
+    shape = list(tokens)
+    values = []
+    clause = ""
+    outer: list[str] = []
+    previous = ""
+    for index, token in enumerate(tokens):
+        head = token[0]
+        if head == "(":
+            outer.append(clause)
+        elif head == ")":
+            clause = outer.pop() if outer else clause
+        elif head == "'" or head.isdigit():
+            if clause == "pred" and previous not in ("-", "."):
+                shape[index] = f"{SLOT}{len(values)}"
+                if head == "'":
+                    values.append(token[1:-1].replace("''", "'"))
+                else:
+                    values.append(float(token) if "." in token else int(token))
+        else:
+            clause = _CLAUSES.get(token.lower(), clause)
+        previous = token
+    return tuple(shape), values
 
 
 def combine_conjunctive(rel: RelExpr, extra_pred: ScalarExpr) -> RelExpr:

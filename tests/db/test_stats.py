@@ -21,6 +21,7 @@ from repro.algebra import (
     Col,
     Join,
     Lit,
+    Param,
     Select,
     Table,
 )
@@ -269,6 +270,47 @@ class TestPlanCacheEpochs:
         db.columnar_mode = "auto"  # unchanged: no invalidation
         db.plan(self.QUERY)
         assert db.plan_cache_hits == hits + 1
+
+    def test_slot_values_in_and_out_of_range_give_two_variants(self):
+        """``val`` spans [0, 99]: an equality inside the range estimates
+        1/NDV, one outside estimates 0, so the template is re-planned once
+        and each later value reuses the variant whose estimate it shares."""
+        db = _make_db(100)
+        query = Select(Table("t"), BinOp("=", Col("val"), Param("$0")))
+        inside = db.plan(query, {"$0": 5.0})
+        assert db.plan_cache_replans == 0
+        misses = db.plan_cache_misses
+        db.plan(query, {"$0": 500.0})
+        assert db.plan_cache_replans == 1
+        assert db.plan_cache_misses == misses + 1
+        assert db.last_plan_search["replanned"] == "estimate changed"
+        assert len(db._plan_cache[query][1]) == 2
+        hits = db.plan_cache_hits
+        assert db.plan(query, {"$0": 7.0}) is inside
+        assert "replanned" not in db.last_plan_search
+        db.plan(query, {"$0": -3.0})
+        assert db.last_plan_search["replanned"] == "estimate changed"
+        assert db.plan_cache_hits == hits + 2
+        assert db.plan_cache_replans == 1
+
+    def test_epoch_change_is_a_miss_not_a_replan(self):
+        db = _make_db(100)
+        query = Select(Table("t"), BinOp("=", Col("val"), Param("$0")))
+        db.plan(query, {"$0": 5.0})
+        db.insert("t", {"id": 1000, "grp": 3, "val": 1.0, "label": "x"})
+        misses = db.plan_cache_misses
+        db.plan(query, {"$0": 5.0})
+        assert db.plan_cache_misses == misses + 1
+        assert db.plan_cache_replans == 0
+
+    def test_named_parameters_do_not_reach_the_estimator(self):
+        """Only slots are read at plan time: a ``:name`` parameter stays an
+        unknown value, so one plan serves every value."""
+        db = _make_db(100)
+        query = Select(Table("t"), BinOp("=", Col("val"), Param("v")))
+        plan = db.plan(query, {"v": 5.0})
+        assert db.plan(query, {"v": 500.0}) is plan
+        assert db.plan_cache_replans == 0
 
     def test_columnar_mode_validates(self):
         db = _make_db(1)

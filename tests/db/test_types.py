@@ -83,6 +83,47 @@ class TestSizes:
     def test_string_size_monotone(self, text):
         assert value_size_bytes(text) >= 2
 
+    def test_fast_path_matches_the_isinstance_formula(self):
+        """The ``type(value)`` fast path must count exactly what the plain
+        isinstance chain counts, subclasses and nesting included."""
+        import enum
+        import random
+
+        def reference(value):
+            if value is None or isinstance(value, bool):
+                return 1
+            if isinstance(value, (int, float)):
+                return 8
+            if isinstance(value, str):
+                return 2 + len(value.encode("utf-8"))
+            if isinstance(value, (list, tuple)):
+                return sum(reference(v) for v in value)
+            return 16
+
+        class Level(enum.IntEnum):
+            LOW = 1
+
+        class Name(str):
+            pass
+
+        rng = random.Random(20)
+        atoms = [None, True, False, 0, -7, 2**70, 1.5, float("inf"), "", "abc",
+                 "héllo", "日本", Level.LOW, Name("x"), object(), b"raw", 3j,
+                 {"k": 1}]
+
+        def draw(depth=0):
+            if depth < 3 and rng.random() < 0.25:
+                items = [draw(depth + 1) for _ in range(rng.randrange(4))]
+                return items if rng.random() < 0.5 else tuple(items)
+            return rng.choice(atoms)
+
+        for _ in range(500):
+            value = draw()
+            assert value_size_bytes(value) == reference(value), value
+            row = {"a": value, "t.a": value, "b": draw()}
+            assert row_size_bytes(row) == reference(row["a"]) + reference(row["b"])
+        assert value_size_bytes(object()) == 16
+
 
 class TestSortKeys:
     def test_nulls_last_ascending(self):

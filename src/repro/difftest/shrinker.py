@@ -12,11 +12,18 @@ The result is a small, self-contained repro suitable for checking into
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, replace
 from typing import Callable
 
-from ..lang import Block, FunctionDef, If, parse_program, unparse_program, walk_statements
+from ..lang import (
+    Block,
+    FunctionDef,
+    If,
+    clone_statements,
+    parse_program,
+    unparse_program,
+    walk_statements,
+)
 from .generator import GeneratedCase
 from .oracle import Verdict, run_case
 
@@ -118,7 +125,7 @@ class _Shrinker:
             program = parse_program(case.source)
             func = program.function(case.function)
             for edit in self._edits(func):
-                candidate_program = copy.deepcopy(program)
+                candidate_program = clone_statements(program)
                 candidate_func = candidate_program.function(case.function)
                 if not edit(candidate_func):
                     continue
@@ -134,7 +141,7 @@ class _Shrinker:
     @staticmethod
     def _edits(func: FunctionDef):
         """Yield edit closures, addressed structurally so they can be
-        re-applied to a deep copy of the program."""
+        re-applied to a statement clone of the program."""
         blocks = [
             (block_index, stmt_index)
             for block_index, block in enumerate(_blocks(func))

@@ -546,6 +546,8 @@ class _FunctionLowering:
         query = self.last_query.get(call.func.value.id)
         if query is None:
             return None
+        # A copy, so that one expression object never appears twice in a
+        # program (lint keys loop membership on node identity).
         return Call(func="executeScalar", args=[copy.deepcopy(query)], **_pos(node))
 
     # ------------------------------------------------------------------

@@ -37,14 +37,19 @@ before the D-IR translation —
 
 Every transform preserves source spans: folded literals inherit the span
 of the expression they replace, pruned arms splice their statements (and
-spans) into the parent block, and copy propagation rebinds only the
-identifier of an existing ``Name`` node.
+spans) into the parent block, and copy propagation replaces a ``Name`` by
+one carrying the same span.
+
+The passes edit statements of their own copy in place but never mutate an
+expression (see :mod:`repro.lang.ast_nodes`): a rewritten expression is a
+new node, and an unchanged one stays shared with the input program.
 """
 
 from __future__ import annotations
 
-import copy
+import operator
 from dataclasses import fields as dataclass_fields
+from dataclasses import replace
 
 from ..analysis.dataflow import all_reads, all_writes
 from ..analysis.effects import EffectSummary, function_effects
@@ -70,8 +75,9 @@ from ..lang import (
     Return,
     Stmt,
     StringLit,
-    TryCatch,
     While,
+    child_blocks,
+    clone_statements,
     number_statements,
     statement_expressions,
     walk_statements,
@@ -81,13 +87,16 @@ OUT_VAR = "__out__"
 
 
 def preprocess_program(program: Program, precision: bool = True) -> Program:
-    """Return a normalised deep copy of ``program`` (ids renumbered).
+    """Return a normalised copy of ``program`` (ids renumbered).
+
+    The copy has its own statements and shares unchanged expressions with
+    ``program``, which is left as it was.
 
     ``precision`` toggles the SSA-based enabling transforms (constant
     folding, dead-branch pruning, copy propagation); the paper's own
     normalisations always run.
     """
-    result = copy.deepcopy(program)
+    result = clone_statements(program)
     effects = function_effects(result) if precision else None
     for func in result.functions:
         _preprocess_function(func, effects=effects, precision=precision)
@@ -165,7 +174,7 @@ def _fold_constants(func: FunctionDef, result: SCCPResult) -> bool:
                 changed = True
                 return literal
             return expr
-        _rewrite_children(expr, lambda child: fold(child, sid))
+        expr = _rewrite_children(expr, lambda child: fold(child, sid))
         value = result.eval_at(sid, expr)
         literal = None if value is None else _literal_for(value, expr)
         if literal is not None and not isinstance(
@@ -201,7 +210,7 @@ def _prune_dead_branches(block: Block, result: SCCPResult) -> bool:
             _prune_dead_branches(stmt.then_body, result)
             rebuilt.extend(stmt.then_body.statements)
             continue
-        for child in _child_blocks(stmt):
+        for child in child_blocks(stmt):
             changed |= _prune_dead_branches(child, result)
         rebuilt.append(stmt)
     block.statements[:] = rebuilt
@@ -221,34 +230,45 @@ def _propagate_copies(func: FunctionDef, ssa: SSAForm) -> None:
     def rewrite(expr: Expr, sid: int) -> Expr:
         if isinstance(expr, Name):
             source = resolve_copy(ssa, sid, expr.ident)
-            if source is not None:
-                expr.ident = source  # span stays with the original use
-            return expr
+            if source is None:
+                return expr
+            return Name(source, line=expr.line, col=expr.col)  # span stays with the use
         if isinstance(expr, MethodCall):
             preserve = (
                 expr.method in _MUTATING_METHODS
                 or expr.method in _RECEIVER_PRESERVING
                 or setter_to_column(expr.method) is not None
             )
-            if not (preserve and isinstance(expr.receiver, Name)):
-                expr.receiver = rewrite(expr.receiver, sid)
-            expr.args = [rewrite(arg, sid) for arg in expr.args]
-            return expr
-        _rewrite_children(expr, lambda child: rewrite(child, sid))
-        return expr
+            receiver = expr.receiver
+            if not (preserve and isinstance(receiver, Name)):
+                receiver = rewrite(receiver, sid)
+            args = [rewrite(arg, sid) for arg in expr.args]
+            if receiver is expr.receiver and all(map(operator.is_, args, expr.args)):
+                return expr
+            return replace(expr, receiver=receiver, args=args)
+        return _rewrite_children(expr, lambda child: rewrite(child, sid))
 
     for stmt in walk_statements(func.body):
         _rewrite_stmt_exprs(stmt, lambda expr: rewrite(expr, stmt.sid))
 
 
-def _rewrite_children(expr: Expr, fn) -> None:
-    """Apply ``fn`` to each direct sub-expression of ``expr``, in place."""
+def _rewrite_children(expr: Expr, fn) -> Expr:
+    """Apply ``fn`` to each direct sub-expression of ``expr``.
+
+    Returns a new node when any child changed, else ``expr`` itself.
+    """
+    changed = {}
     for f in dataclass_fields(expr):
         value = getattr(expr, f.name)
         if isinstance(value, Expr):
-            setattr(expr, f.name, fn(value))
+            new = fn(value)
+            if new is not value:
+                changed[f.name] = new
         elif isinstance(value, list) and value and isinstance(value[0], Expr):
-            setattr(expr, f.name, [fn(item) for item in value])
+            new = [fn(item) for item in value]
+            if not all(map(operator.is_, new, value)):
+                changed[f.name] = new
+    return replace(expr, **changed) if changed else expr
 
 
 def _rewrite_stmt_exprs(stmt: Stmt, fn) -> None:
@@ -285,7 +305,7 @@ def _rewrite_prints(block: Block) -> bool:
                 )
                 changed = True
                 continue
-        for child in _child_blocks(stmt):
+        for child in child_blocks(stmt):
             changed |= _rewrite_prints(child)
     return changed
 
@@ -310,7 +330,7 @@ def _printed_value(expr: Expr) -> Expr | None:
 
 def _normalize_cursor_while(block: Block, precision: bool = True) -> None:
     for i, stmt in enumerate(block.statements):
-        for child in _child_blocks(stmt):
+        for child in child_blocks(stmt):
             _normalize_cursor_while(child, precision=precision)
         if not (
             isinstance(stmt, While)
@@ -452,7 +472,7 @@ def _resolve_cursor_chain(
 
 def _normalize_tail_returns(block: Block) -> None:
     for stmt in block.statements:
-        for child in _child_blocks(stmt):
+        for child in child_blocks(stmt):
             _normalize_tail_returns(child)
     i = 0
     while i < len(block.statements):
@@ -477,7 +497,7 @@ def _ends_with_return(block: Block) -> bool:
 
 def _drop_unreachable(block: Block) -> None:
     for i, stmt in enumerate(block.statements):
-        for child in _child_blocks(stmt):
+        for child in child_blocks(stmt):
             _drop_unreachable(child)
         if isinstance(stmt, (Return, Break)):
             del block.statements[i + 1 :]
@@ -504,7 +524,7 @@ _flag_counter = 0
 def _normalize_boolean_return_loops(block: Block) -> None:
     global _flag_counter
     for stmt in block.statements:
-        for child in _child_blocks(stmt):
+        for child in child_blocks(stmt):
             _normalize_boolean_return_loops(child)
     i = 0
     while i < len(block.statements):
@@ -547,7 +567,7 @@ def _normalize_boolean_return_loops(block: Block) -> None:
 
 def _remove_boolean_breaks(block: Block) -> None:
     for stmt in block.statements:
-        for child in _child_blocks(stmt):
+        for child in child_blocks(stmt):
             _remove_boolean_breaks(child)
         if isinstance(stmt, ForEach):
             _try_remove_break(stmt)
@@ -570,23 +590,3 @@ def _try_remove_break(loop: ForEach) -> None:
         and isinstance(then[1], Break)
     ):
         del then[1]
-
-
-def _child_blocks(stmt: Stmt) -> list[Block]:
-    if isinstance(stmt, Block):
-        return [stmt]
-    if isinstance(stmt, If):
-        blocks = [stmt.then_body]
-        if stmt.else_body is not None:
-            blocks.append(stmt.else_body)
-        return blocks
-    if isinstance(stmt, (ForEach, While)):
-        return [stmt.body]
-    if isinstance(stmt, TryCatch):
-        blocks = [stmt.try_body]
-        if stmt.catch_body is not None:
-            blocks.append(stmt.catch_body)
-        if stmt.finally_body is not None:
-            blocks.append(stmt.finally_body)
-        return blocks
-    return []

@@ -9,6 +9,13 @@ Every node also carries its source position (``line``, ``col``, both
 1-based; 0 means "synthetic" — built by preprocessing or a rewrite rather
 than parsed from source).  Diagnostics and parse errors use these to point
 at code.
+
+Ownership: expressions are never mutated after construction, so any number
+of programs may share them; a pass that changes an expression builds a new
+node.  Statements (including :class:`Block`), :class:`FunctionDef` and
+:class:`Program` belong to one program and may be edited in place by the
+pass that owns it.  :func:`clone_statements` therefore copies a program by
+rebuilding only its statement spine.
 """
 
 from __future__ import annotations
@@ -313,6 +320,50 @@ def number_statements(node: Node, start: int = 0) -> int:
     return counter
 
 
+def clone_statements(node: Node) -> Node:
+    """Copy a program, function or statement, sharing every expression.
+
+    Statements, blocks and functions are rebuilt (each with a copied
+    ``__dict__``); every list on them is copied too, so the clone's blocks
+    can be edited without touching ``node``.  Expression values are shared
+    as they are, which the ownership rule above makes safe.
+    """
+    clone = object.__new__(type(node))
+    state = dict(node.__dict__)
+    for key, value in state.items():
+        if isinstance(value, (Stmt, FunctionDef)):
+            state[key] = clone_statements(value)
+        elif isinstance(value, list):
+            state[key] = [
+                clone_statements(item) if isinstance(item, (Stmt, FunctionDef)) else item
+                for item in value
+            ]
+    clone.__dict__ = state
+    return clone
+
+
+def child_blocks(stmt: Stmt) -> list[Block]:
+    """Return the blocks a statement owns: itself for a :class:`Block`, else
+    its bodies (``then``/``else``, loop body, ``try``/``catch``/``finally``)."""
+    if isinstance(stmt, Block):
+        return [stmt]
+    if isinstance(stmt, If):
+        blocks = [stmt.then_body]
+        if stmt.else_body is not None:
+            blocks.append(stmt.else_body)
+        return blocks
+    if isinstance(stmt, (ForEach, While)):
+        return [stmt.body]
+    if isinstance(stmt, TryCatch):
+        blocks = [stmt.try_body]
+        if stmt.catch_body is not None:
+            blocks.append(stmt.catch_body)
+        if stmt.finally_body is not None:
+            blocks.append(stmt.finally_body)
+        return blocks
+    return []
+
+
 def child_statements(node: Node) -> list[Stmt]:
     """Return the direct child statements of a node (not expressions)."""
     if isinstance(node, Program):
@@ -321,21 +372,7 @@ def child_statements(node: Node) -> list[Stmt]:
         return [node.body]
     if isinstance(node, Block):
         return list(node.statements)
-    if isinstance(node, If):
-        children: list[Stmt] = [node.then_body]
-        if node.else_body is not None:
-            children.append(node.else_body)
-        return children
-    if isinstance(node, (ForEach, While)):
-        return [node.body]
-    if isinstance(node, TryCatch):
-        children = [node.try_body]
-        if node.catch_body is not None:
-            children.append(node.catch_body)
-        if node.finally_body is not None:
-            children.append(node.finally_body)
-        return children
-    return []
+    return child_blocks(node) if isinstance(node, Stmt) else []
 
 
 def walk_statements(node: Node):

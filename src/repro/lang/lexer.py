@@ -1,10 +1,14 @@
 """Hand-rolled lexer for MiniJava.
 
 The calibration notes flag ``javalang`` as too weak for reliable analysis, so
-the front end is written from scratch.  The lexer is a straightforward
-single-pass scanner producing :class:`~repro.lang.tokens.Token` objects; it
-supports ``//`` and ``/* */`` comments, decimal integer and floating point
-literals, and double-quoted strings with the usual escape sequences.
+the front end is written from scratch.  The lexer is a single-pass scanner
+producing :class:`~repro.lang.tokens.Token` objects; it supports ``//`` and
+``/* */`` comments, decimal integer and floating point literals, and
+double-quoted strings with the usual escape sequences.  Character classes
+are ``str.isdigit``/``isalpha``/``isalnum`` (so ``²`` lexes as a digit),
+comments and string bodies are skipped with ``str.find``, and a backslash
+before a real newline inside a string continues the string on the next
+line.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from .tokens import (
 )
 
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "'": "'", "\\": "\\"}
+_TWO_CHAR_OPERATORS = dict(MULTI_CHAR_OPERATORS)
 
 
 class Lexer:
@@ -26,123 +31,99 @@ class Lexer:
 
     def __init__(self, source: str):
         self._source = source
-        self._pos = 0
-        self._line = 1
-        self._column = 1
 
     def tokenize(self) -> list[Token]:
-        """Return the full token stream, terminated by an EOF token."""
-        tokens = []
-        while True:
-            token = self._next_token()
-            tokens.append(token)
-            if token.type is TokenType.EOF:
-                return tokens
+        """Return the full token stream, terminated by an EOF token.
 
-    # ------------------------------------------------------------------
-    # Scanning machinery
-
-    def _peek(self, offset: int = 0) -> str:
-        index = self._pos + offset
-        if index < len(self._source):
-            return self._source[index]
-        return ""
-
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self._pos >= len(self._source):
-                return
-            if self._source[self._pos] == "\n":
-                self._line += 1
-                self._column = 1
-            else:
-                self._column += 1
-            self._pos += 1
-
-    def _skip_whitespace_and_comments(self) -> None:
-        while self._pos < len(self._source):
-            char = self._peek()
-            if char in " \t\r\n":
-                self._advance()
-            elif char == "/" and self._peek(1) == "/":
-                while self._pos < len(self._source) and self._peek() != "\n":
-                    self._advance()
-            elif char == "/" and self._peek(1) == "*":
-                self._advance(2)
-                while self._pos < len(self._source):
-                    if self._peek() == "*" and self._peek(1) == "/":
-                        self._advance(2)
+        One loop over a local index.  ``line_start`` is the index just past
+        the last newline, so a token's column is ``pos - line_start + 1``.
+        """
+        src = self._source
+        n = len(src)
+        pos = 0
+        line = 1
+        line_start = 0
+        tokens: list[Token] = []
+        append = tokens.append
+        while pos < n:
+            char = src[pos]
+            if char in " \t\r":
+                pos += 1
+                continue
+            if char == "\n":
+                pos += 1
+                line += 1
+                line_start = pos
+                continue
+            column = pos - line_start + 1
+            if char == "/" and pos + 1 < n and src[pos + 1] in "/*":
+                if src[pos + 1] == "/":
+                    end = src.find("\n", pos)
+                    pos = n if end < 0 else end
+                    continue
+                end = src.find("*/", pos + 2)
+                stop = n if end < 0 else end + 2
+                newlines = src.count("\n", pos, stop)
+                if newlines:
+                    line += newlines
+                    line_start = src.rfind("\n", pos, stop) + 1
+                if end < 0:
+                    raise LexError("unterminated block comment", line, n - line_start + 1)
+                pos = stop
+                continue
+            if char.isdigit():
+                end = pos + 1
+                while end < n and src[end].isdigit():
+                    end += 1
+                token_type = TokenType.INT
+                if end + 1 < n and src[end] == "." and src[end + 1].isdigit():
+                    token_type = TokenType.FLOAT
+                    end += 2
+                    while end < n and src[end].isdigit():
+                        end += 1
+                append(Token(token_type, src[pos:end], line, column))
+                pos = end
+            elif char.isalpha() or char == "_":
+                end = pos + 1
+                while end < n and (src[end].isalnum() or src[end] == "_"):
+                    end += 1
+                text = src[pos:end]
+                append(Token(KEYWORDS.get(text, TokenType.IDENT), text, line, column))
+                pos = end
+            elif char == '"':
+                start_line = line
+                parts = []
+                end = pos + 1
+                while True:
+                    quote = src.find('"', end)
+                    stop = n if quote < 0 else quote
+                    escape = src.find("\\", end, stop)
+                    newline = src.find("\n", end, stop if escape < 0 else escape)
+                    if newline >= 0 or (quote < 0 and escape < 0):
+                        raise LexError("unterminated string literal", start_line, column)
+                    if escape < 0:
+                        parts.append(src[end:quote])
                         break
-                    self._advance()
-                else:
-                    raise LexError("unterminated block comment", self._line, self._column)
+                    parts.append(src[end:escape])
+                    escaped = src[escape + 1 : escape + 2]
+                    parts.append(_ESCAPES.get(escaped, escaped))
+                    if escaped == "\n":
+                        line += 1
+                        line_start = escape + 2
+                    end = escape + 2
+                append(Token(TokenType.STRING, "".join(parts), start_line, column))
+                pos = quote + 1
+            elif src[pos : pos + 2] in _TWO_CHAR_OPERATORS:
+                text = src[pos : pos + 2]
+                append(Token(_TWO_CHAR_OPERATORS[text], text, line, column))
+                pos += 2
+            elif char in SINGLE_CHAR_OPERATORS:
+                append(Token(SINGLE_CHAR_OPERATORS[char], char, line, column))
+                pos += 1
             else:
-                return
-
-    def _next_token(self) -> Token:
-        self._skip_whitespace_and_comments()
-        line, column = self._line, self._column
-        if self._pos >= len(self._source):
-            return Token(TokenType.EOF, "", line, column)
-
-        char = self._peek()
-        if char.isdigit():
-            return self._lex_number(line, column)
-        if char.isalpha() or char == "_":
-            return self._lex_identifier(line, column)
-        if char == '"':
-            return self._lex_string(line, column)
-
-        for text, token_type in MULTI_CHAR_OPERATORS:
-            if self._source.startswith(text, self._pos):
-                self._advance(len(text))
-                return Token(token_type, text, line, column)
-        if char in SINGLE_CHAR_OPERATORS:
-            self._advance()
-            return Token(SINGLE_CHAR_OPERATORS[char], char, line, column)
-
-        raise LexError(f"unexpected character {char!r}", line, column)
-
-    def _lex_number(self, line: int, column: int) -> Token:
-        start = self._pos
-        while self._peek().isdigit():
-            self._advance()
-        is_float = False
-        if self._peek() == "." and self._peek(1).isdigit():
-            is_float = True
-            self._advance()
-            while self._peek().isdigit():
-                self._advance()
-        text = self._source[start : self._pos]
-        token_type = TokenType.FLOAT if is_float else TokenType.INT
-        return Token(token_type, text, line, column)
-
-    def _lex_identifier(self, line: int, column: int) -> Token:
-        start = self._pos
-        while self._peek().isalnum() or self._peek() == "_":
-            self._advance()
-        text = self._source[start : self._pos]
-        token_type = KEYWORDS.get(text, TokenType.IDENT)
-        return Token(token_type, text, line, column)
-
-    def _lex_string(self, line: int, column: int) -> Token:
-        self._advance()  # opening quote
-        parts = []
-        while True:
-            char = self._peek()
-            if not char or char == "\n":
-                raise LexError("unterminated string literal", line, column)
-            if char == '"':
-                self._advance()
-                return Token(TokenType.STRING, "".join(parts), line, column)
-            if char == "\\":
-                self._advance()
-                escape = self._peek()
-                parts.append(_ESCAPES.get(escape, escape))
-                self._advance()
-            else:
-                parts.append(char)
-                self._advance()
+                raise LexError(f"unexpected character {char!r}", line, column)
+        append(Token(TokenType.EOF, "", line, pos - line_start + 1))
+        return tokens
 
 
 def tokenize(source: str) -> list[Token]:

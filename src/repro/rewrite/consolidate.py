@@ -17,7 +17,6 @@ condition is expressible over the cursor's columns, exactly as Figure 13's
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 from ..algebra import Catalog, RelExpr, Select
@@ -28,15 +27,14 @@ from ..lang import (
     Assign,
     Block,
     Call,
-    Expr,
     ForEach,
     If,
     MethodCall,
     Name,
     Program,
-    Stmt,
     StringLit,
-    walk_statements,
+    child_blocks,
+    clone_statements,
     number_statements,
 )
 from ..rules.decorrelate import (
@@ -74,10 +72,12 @@ def consolidate_loops(
 ) -> tuple[Program, list[Consolidation]]:
     """Consolidate correlated scalar queries in every eligible cursor loop.
 
-    Returns (rewritten deep copy, consolidation records).  Loops without at
-    least one correlated scalar query are left untouched.
+    Returns (rewritten copy, consolidation records); the copy has its own
+    statements and shares expressions with ``program``, which is left as it
+    was.  Loops without at least one correlated scalar query are left
+    untouched.
     """
-    result = copy.deepcopy(program)
+    result = clone_statements(program)
     func = result.function(function)
     records: list[Consolidation] = []
     context = DIRContext(program=result)
@@ -85,7 +85,7 @@ def consolidate_loops(
 
     def visit_block(block: Block) -> None:
         for index, stmt in enumerate(block.statements):
-            for child in _child_blocks(stmt):
+            for child in child_blocks(stmt):
                 visit_block(child)
             if isinstance(stmt, ForEach):
                 record = _consolidate_one(stmt, block, index, builder, dialect)
@@ -96,28 +96,6 @@ def consolidate_loops(
     if records:
         number_statements(result)
     return result, records
-
-
-def _child_blocks(stmt: Stmt) -> list[Block]:
-    from ..lang import TryCatch, While
-
-    if isinstance(stmt, Block):
-        return [stmt]
-    if isinstance(stmt, If):
-        blocks = [stmt.then_body]
-        if stmt.else_body is not None:
-            blocks.append(stmt.else_body)
-        return blocks
-    if isinstance(stmt, (ForEach, While)):
-        return [stmt.body]
-    if isinstance(stmt, TryCatch):
-        blocks = [stmt.try_body]
-        if stmt.catch_body is not None:
-            blocks.append(stmt.catch_body)
-        if stmt.finally_body is not None:
-            blocks.append(stmt.finally_body)
-        return blocks
-    return []
 
 
 def _consolidate_one(

@@ -11,8 +11,6 @@ heuristic decides whether that is worthwhile; see :mod:`repro.core`).
 
 from __future__ import annotations
 
-import copy
-
 from ..analysis import (
     DB_LOCATION,
     OUT_LOCATION,
@@ -29,13 +27,14 @@ from ..lang import (
     Call,
     ExprStmt,
     ForEach,
-    FunctionDef,
     If,
     Program,
     Return,
     Stmt,
     TryCatch,
     While,
+    child_blocks,
+    clone_statements,
     number_statements,
     walk_expressions,
 )
@@ -51,9 +50,10 @@ def insert_extractions(
     """Insert ``v = <extracted>`` statements after their source loops.
 
     ``extractions`` maps a loop statement id to the (variable, expression)
-    pairs extracted from that loop.  Returns a rewritten deep copy.
+    pairs extracted from that loop.  Returns a rewritten copy with its own
+    statements (expressions are shared); ``program`` is left as it was.
     """
-    result = copy.deepcopy(program)
+    result = clone_statements(program)
     func = result.function(function)
     emitter = Emitter(dialect=dialect)
     _insert_in_block(func.body, extractions, emitter)
@@ -69,7 +69,7 @@ def _insert_in_block(
     i = 0
     while i < len(block.statements):
         stmt = block.statements[i]
-        for child in _child_blocks(stmt):
+        for child in child_blocks(stmt):
             _insert_in_block(child, extractions, emitter)
         if stmt.sid in extractions:
             inserted: list[Stmt] = []
@@ -90,8 +90,9 @@ def eliminate_dead_code(program: Program, function: str) -> Program:
 
     Observable sinks: the return value, the output stream (``__out__``),
     and database writes.  Conservative for unknown calls and try/catch.
+    Returns a copy; ``program`` is left as it was.
     """
-    result = copy.deepcopy(program)
+    result = clone_statements(program)
     func = result.function(function)
     changed = True
     while changed:
@@ -159,11 +160,12 @@ def _process_stmt(stmt: Stmt, live: set[str]) -> tuple[bool, bool]:
     if isinstance(stmt, (ForEach, While)):
         # Fixpoint over iterations: a variable read by a *surviving* body
         # statement may carry the previous iteration's value, so it must
-        # stay live for the body itself.  Trial passes run on a copy until
-        # the keep-set stabilises, then one destructive pass applies it.
+        # stay live for the body itself.  Trial passes run on a statement
+        # clone until the keep-set stabilises, then one destructive pass
+        # applies it.
         body_live_out = set(live)
         for _ in range(len(stmt.body.statements) + 2):
-            trial = copy.deepcopy(stmt.body)
+            trial = clone_statements(stmt.body)
             trial_live = set(body_live_out)
             _eliminate_block(trial, trial_live)
             trial_live = {v for v in trial_live if not v.startswith("@")}
@@ -198,12 +200,6 @@ def _process_stmt(stmt: Stmt, live: set[str]) -> tuple[bool, bool]:
     return True, False
 
 
-def _body_reads(stmt: ForEach | While) -> set[str]:
-    from ..analysis import all_reads
-
-    return {r for r in all_reads(stmt.body) if not r.startswith("@")}
-
-
 def _iterable_is_pure(stmt: ForEach | While) -> bool:
     if isinstance(stmt, While):
         return not _expr_has_side_effects(stmt.cond, ignore_reads=True)
@@ -232,23 +228,3 @@ def _expr_has_side_effects(expr, ignore_reads: bool = False) -> bool:
         if isinstance(node, Call) and node.func in ("print", "println"):
             return True
     return False
-
-
-def _child_blocks(stmt: Stmt) -> list[Block]:
-    if isinstance(stmt, Block):
-        return [stmt]
-    if isinstance(stmt, If):
-        blocks = [stmt.then_body]
-        if stmt.else_body is not None:
-            blocks.append(stmt.else_body)
-        return blocks
-    if isinstance(stmt, (ForEach, While)):
-        return [stmt.body]
-    if isinstance(stmt, TryCatch):
-        blocks = [stmt.try_body]
-        if stmt.catch_body is not None:
-            blocks.append(stmt.catch_body)
-        if stmt.finally_body is not None:
-            blocks.append(stmt.finally_body)
-        return blocks
-    return []

@@ -29,12 +29,11 @@ profile-independent; costing and selection live in
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 from ..algebra import BinOp, Catalog, Col, Param, Project, RelExpr, Select, Table
 from ..analysis import live_after_loop
-from ..ir import EExists, ENode, EQuery, EScalarQuery, OUT_VAR, walk_enodes
+from ..ir import EExists, EQuery, EScalarQuery, OUT_VAR, walk_enodes
 from ..lang import (
     Assign,
     Block,
@@ -49,6 +48,8 @@ from ..lang import (
     Stmt,
     StringLit,
     Unary,
+    child_blocks,
+    clone_statements,
     number_statements,
     statement_expressions,
     walk_expressions,
@@ -419,7 +420,7 @@ def _body_is_batchable(loop_stmt: ForEach) -> bool:
 def _lookup_alternative(
     program, function, loop_sid, lookups, outer_name, *, prefetch: bool
 ) -> Alternative | None:
-    result = copy.deepcopy(program)
+    result = clone_statements(program)
     func = result.function(function)
     found = _find_loop(func.body, loop_sid)
     if found is None:
@@ -530,7 +531,7 @@ def _find_loop(block: Block, loop_sid: int) -> tuple[ForEach, Block, int] | None
     for index, stmt in enumerate(block.statements):
         if isinstance(stmt, ForEach) and stmt.sid == loop_sid:
             return stmt, block, index
-        for child in _child_blocks(stmt):
+        for child in child_blocks(stmt):
             found = _find_loop(child, loop_sid)
             if found is not None:
                 return found
@@ -542,21 +543,10 @@ def _replace_assign(block: Block, assign_sid: int, replacement: Stmt) -> bool:
         if isinstance(stmt, Assign) and stmt.sid == assign_sid:
             block.statements[index] = replacement
             return True
-        for child in _child_blocks(stmt):
+        for child in child_blocks(stmt):
             if _replace_assign(child, assign_sid, replacement):
                 return True
     return False
-
-
-def _child_blocks(stmt: Stmt) -> list[Block]:
-    blocks: list[Block] = []
-    for attr in ("body", "then_body", "else_body", "try_body", "catch_body", "finally_body"):
-        child = getattr(stmt, attr, None)
-        if isinstance(child, Block):
-            blocks.append(child)
-    if isinstance(stmt, Block):
-        blocks.append(stmt)
-    return blocks
 
 
 def _getter(column: str) -> str:

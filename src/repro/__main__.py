@@ -31,21 +31,21 @@ import argparse
 import json
 import sys
 
-from .algebra import Catalog
 from .analysis.cli import add_analyze_parser
-from .batch.cli import add_scan_parser, build_catalog
-from .core import ExtractOptions, extract_sql, optimize_program
-from .frontends import available_frontends, detect_frontend, get_frontend
+from .batch.cli import (
+    add_extraction_flags,
+    add_scan_parser,
+    build_catalog,
+    extraction_options,
+)
+from .core import extract_sql, optimize_program
+from .frontends import DEFAULT_FRONTEND, available_frontends, detect_frontend, get_frontend
 from .lang import unparse_program
 from .lint.cli import add_lint_parser
 
 
-def _build_catalog(args) -> Catalog:
-    return build_catalog(args.schema, args.table)
-
-
 def _cmd_extract(args) -> int:
-    catalog = _build_catalog(args)
+    catalog = build_catalog(args.schema, args.table)
     source = sys.stdin.read() if args.file == "-" else open(args.file).read()
     profile = args.profile
     if profile is None and args.explain_rewrites:
@@ -53,17 +53,8 @@ def _cmd_extract(args) -> int:
     frontend = args.frontend
     if frontend is None:
         # Auto-detect from the file suffix; stdin falls back to the default.
-        frontend = detect_frontend(args.file) if args.file != "-" else None
-    try:
-        options = ExtractOptions(
-            dialect=args.dialect,
-            ordering_matters=not args.unordered,
-            allow_temp_tables=args.temp_tables,
-            profile=profile,
-            **({"frontend": frontend} if frontend is not None else {}),
-        )
-    except ValueError as exc:
-        raise SystemExit(str(exc))
+        frontend = detect_frontend(args.file) if args.file != "-" else DEFAULT_FRONTEND
+    options = extraction_options(args, profile=profile, frontend=frontend)
     if args.rewrite:
         report = optimize_program(source, args.function, catalog, options=options)
     else:
@@ -153,7 +144,6 @@ def main(argv: list[str] | None = None) -> int:
     extract = sub.add_parser("extract", help="extract SQL from a source file")
     extract.add_argument("file", help="source file ('-' for stdin)")
     extract.add_argument("--function", "-f", required=True)
-    extract.add_argument("--schema", help="JSON schema file")
     extract.add_argument(
         "--frontend",
         default=None,
@@ -161,31 +151,8 @@ def main(argv: list[str] | None = None) -> int:
         help="language frontend parsing the file "
         "(default: auto-detect from the file suffix; stdin: minijava)",
     )
-    extract.add_argument(
-        "--table", action="append", help="inline table: name:col1,col2[:keycol]"
-    )
-    extract.add_argument(
-        "--dialect",
-        default="repro",
-        choices=["repro", "postgres", "mysql", "sqlserver", "ansi"],
-    )
+    add_extraction_flags(extract)
     extract.add_argument("--rewrite", action="store_true", help="print the rewritten program")
-    extract.add_argument(
-        "--unordered",
-        action="store_true",
-        help="result ordering irrelevant (keyword-search mode)",
-    )
-    extract.add_argument(
-        "--temp-tables",
-        action="store_true",
-        help="allow shipping non-query collections as temporary tables",
-    )
-    extract.add_argument(
-        "--profile",
-        default=None,
-        help="deployment profile for cost-based rewrite selection "
-        "(built-ins: local, wan); --rewrite keeps loops where as-written wins",
-    )
     extract.add_argument(
         "--explain-rewrites",
         action="store_true",

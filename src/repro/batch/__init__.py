@@ -2,26 +2,29 @@
 
 The paper's pipeline analyses one function of one file per invocation;
 real deployments run over entire applications.  This package adds the
-throughput layer:
+throughput layer, shared by ``scan`` and ``lint``:
 
-``discovery``  find MiniJava sources under a directory and plan one work
-               unit per (file, function);
+``discovery``  find every source file a registered frontend claims by
+               suffix (``.mj``, ``.py``, ...) under a directory and plan
+               one work unit per (file, function);
 ``cache``      persistent content-addressed result cache (key = SHA-256 of
                source + catalog spec + options; store = JSON files under
                ``.repro-cache/``);
 ``pool``       serial or ``multiprocessing`` execution of work units;
-``report``     :class:`ScanReport` aggregation and rendering;
-``service``    :func:`scan_directory`, the orchestrator gluing the above;
-``cli``        the ``python -m repro scan`` subcommand.
+``report``     :class:`DirectoryReport` and :class:`ScanReport` aggregation;
+``service``    :func:`run_directory`, the discover → cache → pool → report
+               loop, and :func:`scan_directory` on it;
+``cli``        the ``python -m repro scan`` subcommand and shared flags.
 """
 
 from .cache import NullCache, ResultCache, cache_key
 from .discovery import Discovery, WorkUnit, discover_sources, plan_units
 from .pool import extract_unit, run_units
-from .report import ScanReport
-from .service import scan_directory
+from .report import DirectoryReport, ScanReport
+from .service import run_directory, scan_directory
 
 __all__ = [
+    "DirectoryReport",
     "Discovery",
     "NullCache",
     "ResultCache",
@@ -31,6 +34,7 @@ __all__ = [
     "discover_sources",
     "extract_unit",
     "plan_units",
+    "run_directory",
     "run_units",
     "scan_directory",
 ]

@@ -12,7 +12,8 @@ first two hex digits of the key (``.repro-cache/ab/abcdef....json``), so
 a human can inspect any entry and ``rm -rf`` is the only eviction tool
 needed.  Writes are atomic (temp file + ``os.replace``), so concurrent
 scans never observe half-written entries; corrupt or foreign files are
-treated as misses and overwritten.
+treated as misses and overwritten, as is an entry whose ``"result"`` is
+not a JSON object.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ def cache_key(
     frontend: str = DEFAULT_FRONTEND,
 ) -> str:
     """SHA-256 over the canonical JSON of all result-determining inputs."""
-    payload = json.dumps(
+    return payload_key(
         {
             "format": CACHE_FORMAT,
             "source": source,
@@ -55,20 +56,18 @@ def cache_key(
             "catalog": catalog.to_dict(),
             "options": options.to_dict(),
             "frontend": frontend,
-        },
-        sort_keys=True,
-        separators=(",", ":"),
+        }
     )
-    return sha256_hex(payload)
 
 
-def sha256_hex(payload: str) -> str:
-    """Hex SHA-256 of ``payload``'s UTF-8 bytes."""
+def payload_key(payload: dict) -> str:
+    """Hex SHA-256 of ``payload``'s canonical JSON (sorted keys, no spaces)."""
     # Imported here: hashlib loads OpenSSL (~3.5 MB resident), which only
     # cache keys need, not every importer of the package.
     import hashlib
 
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 class ResultCache:
@@ -94,7 +93,7 @@ class ResultCache:
         if (
             not isinstance(payload, dict)
             or payload.get("format") != CACHE_FORMAT
-            or "result" not in payload
+            or not isinstance(payload.get("result"), dict)
         ):
             self.misses += 1
             return None
@@ -102,9 +101,9 @@ class ResultCache:
         return payload["result"]
 
     def put(self, key: str, unit_path: str, function: str, result: dict) -> None:
-        """Store one unit result atomically."""
+        """Store one unit result atomically; an unwritable store raises
+        :class:`OSError` naming the cache directory."""
         path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
         payload = {
             "format": CACHE_FORMAT,
             "key": key,
@@ -113,8 +112,12 @@ class ResultCache:
             "result": result,
         }
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        tmp.write_text(json.dumps(payload, indent=2) + "\n")
-        os.replace(tmp, path)
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            tmp.write_text(json.dumps(payload, indent=2) + "\n")
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise OSError(f"cannot write the result cache in {self.directory}: {exc}") from exc
         self.stores += 1
 
 

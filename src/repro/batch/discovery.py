@@ -22,12 +22,6 @@ from ..frontends import (
 )
 
 
-def _suffixes(frontend: str | None) -> tuple[str, ...]:
-    if frontend is None:
-        return tuple(source_suffixes())
-    return tuple(get_frontend(frontend).suffixes)
-
-
 @dataclass(frozen=True)
 class WorkUnit:
     """One (file, function) extraction task.
@@ -66,7 +60,9 @@ def discover_sources(root: Path | str, frontend: str | None = None) -> list[Path
     root = Path(root)
     if root.is_file():
         return [root]
-    suffixes = _suffixes(frontend)
+    suffixes = tuple(
+        source_suffixes() if frontend is None else get_frontend(frontend).suffixes
+    )
     found = [
         path
         for path in root.rglob("*")

@@ -1,21 +1,21 @@
 """Work-unit execution: serial, or fanned out over a process pool.
 
-Extraction is pure CPU (parsing, dataflow, rule rewriting), so threads
-would serialize on the GIL; ``multiprocessing`` gives real scaling.  The
-catalog and options are shipped once per worker through the pool
-initializer rather than once per unit, and workers return plain dicts
-(:meth:`ExtractionReport.to_dict`) so nothing AST-shaped crosses the
-process boundary.
+Extraction and linting are pure CPU, so threads would serialize on the
+GIL; ``multiprocessing`` gives real scaling.  The unit function and its
+context (a scan's catalog and options) are shipped once per worker
+through the pool initializer rather than once per unit, and workers
+return plain dicts so nothing AST-shaped crosses the process boundary.
 
 ``pool.map`` preserves submission order, and each unit's result depends
-only on its own (source, function, catalog, options) — a parallel scan is
-bit-identical to a serial one apart from timing fields.
+only on the unit and the context — a parallel run is bit-identical to a
+serial one apart from timing fields.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import time
+from typing import Callable
 
 from ..algebra import Catalog
 from ..core import ExtractOptions, extract_sql
@@ -53,28 +53,32 @@ def extract_unit(unit: WorkUnit, catalog: Catalog, options: ExtractOptions) -> d
     return result
 
 
-def _init_worker(catalog: Catalog, options: ExtractOptions) -> None:
-    _WORKER_STATE["catalog"] = catalog
-    _WORKER_STATE["options"] = options
+def _init_worker(unit_fn: Callable[..., dict], context: tuple) -> None:
+    _WORKER_STATE["unit_fn"] = unit_fn
+    _WORKER_STATE["context"] = context
 
 
 def _run_one(unit: WorkUnit) -> dict:
-    return extract_unit(unit, _WORKER_STATE["catalog"], _WORKER_STATE["options"])
+    return _WORKER_STATE["unit_fn"](unit, *_WORKER_STATE["context"])
 
 
 def run_units(
     units: list[WorkUnit],
-    catalog: Catalog,
-    options: ExtractOptions,
+    *context,
     jobs: int = 1,
+    unit_fn: Callable[..., dict] = extract_unit,
 ) -> list[dict]:
-    """Execute units and return their result dicts in submission order."""
+    """``unit_fn(unit, *context)`` for every unit, in submission order.
+
+    ``run_units(units, catalog, options)`` extracts; ``jobs > 1`` fans the
+    units out over that many worker processes.
+    """
     if jobs <= 1 or len(units) <= 1:
-        return [extract_unit(unit, catalog, options) for unit in units]
+        return [unit_fn(unit, *context) for unit in units]
     processes = min(jobs, len(units))
     with multiprocessing.Pool(
         processes=processes,
         initializer=_init_worker,
-        initargs=(catalog, options),
+        initargs=(unit_fn, context),
     ) as pool:
         return pool.map(_run_one, units, chunksize=max(1, len(units) // (processes * 4)))

@@ -1,4 +1,4 @@
-"""Scan aggregation: per-unit outcomes rolled up into a :class:`ScanReport`.
+"""Run aggregation: per-unit outcomes rolled up into a :class:`DirectoryReport`.
 
 The report is dict/JSON-centric because it crosses process boundaries and
 feeds both the text renderer and ``--json``.  Timing fields
@@ -11,6 +11,7 @@ is what the ``-j N`` vs. serial equivalence tests key on (see
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 #: Per-unit keys that vary between runs and must be ignored when comparing
 #: scans for equivalence (e.g. parallel vs. serial).
@@ -18,8 +19,9 @@ VOLATILE_UNIT_KEYS = ("duration_ms", "extraction_time_ms", "cached")
 
 
 @dataclass
-class ScanReport:
-    """Aggregate outcome of one directory scan."""
+class DirectoryReport:
+    """Run-level record of one directory run; scan and lint reports add
+    their counts, text and exit rules."""
 
     root: str
     units: list[dict] = field(default_factory=list)
@@ -31,8 +33,45 @@ class ScanReport:
     cache_hits: int = 0
     cache_misses: int = 0
     cache_stores: int = 0
-    #: phase → elapsed milliseconds: ``discover``, ``extract``, ``total``.
+    #: phase → elapsed milliseconds: ``discover``, ``extract``/``lint``, ``total``.
     timings_ms: dict[str, float] = field(default_factory=dict)
+
+    #: The compute phase's name in ``timings_ms``.
+    PHASE: ClassVar[str]
+    #: ``to_dict``'s top-level keys in output order, :meth:`kind_fields` included.
+    JSON_KEYS: ClassVar[tuple[str, ...]]
+
+    def kind_fields(self) -> dict:
+        """The ``to_dict`` fields of one kind of run (its counts and so on)."""
+        raise NotImplementedError
+
+    def to_dict(self) -> dict:
+        fields = {
+            "root": self.root,
+            "jobs": self.jobs,
+            "files": list(self.files),
+            "units": list(self.units),
+            "parse_errors": dict(self.parse_errors),
+            "cache": {
+                "dir": self.cache_dir,
+                "hits": self.cache_hits,
+                "misses": self.cache_misses,
+                "stores": self.cache_stores,
+            },
+            "timings_ms": dict(self.timings_ms),
+            **self.kind_fields(),
+        }
+        return {key: fields[key] for key in self.JSON_KEYS}
+
+
+class ScanReport(DirectoryReport):
+    """Aggregate outcome of one directory scan."""
+
+    PHASE = "extract"
+    JSON_KEYS = (
+        "root", "jobs", "files", "units", "parse_errors", "counts", "cache",
+        "timings_ms", "utilisation", "rewrites",
+    )
 
     def count(self, status: str) -> int:
         return sum(1 for unit in self.units if unit.get("status") == status)
@@ -94,13 +133,8 @@ class ScanReport:
         )
         return min(1.0, busy / (wall * max(1, self.jobs)))
 
-    def to_dict(self) -> dict:
+    def kind_fields(self) -> dict:
         return {
-            "root": self.root,
-            "jobs": self.jobs,
-            "files": list(self.files),
-            "units": list(self.units),
-            "parse_errors": dict(self.parse_errors),
             "counts": {
                 "units": len(self.units),
                 "success": self.successes,
@@ -108,13 +142,6 @@ class ScanReport:
                 "failed": self.failures,
                 "parse_errors": len(self.parse_errors),
             },
-            "cache": {
-                "dir": self.cache_dir,
-                "hits": self.cache_hits,
-                "misses": self.cache_misses,
-                "stores": self.cache_stores,
-            },
-            "timings_ms": dict(self.timings_ms),
             "utilisation": self.utilisation,
             "rewrites": {
                 "profile": self.rewrite_profile,
@@ -164,7 +191,7 @@ class ScanReport:
         return "\n".join(lines)
 
 
-def stable_view(report: ScanReport) -> dict:
+def stable_view(report: DirectoryReport) -> dict:
     """The deterministic projection of a report.
 
     Strips timing- and cache-dependent fields so two scans of the same tree
@@ -172,13 +199,10 @@ def stable_view(report: ScanReport) -> dict:
     extraction outcomes are identical.
     """
     data = report.to_dict()
-    data.pop("timings_ms", None)
-    data.pop("utilisation", None)
-    data.pop("cache", None)
-    data.pop("jobs", None)
-    units = []
-    for unit in data["units"]:
-        clean = {k: v for k, v in unit.items() if k not in VOLATILE_UNIT_KEYS}
-        units.append(clean)
-    data["units"] = units
+    for key in ("timings_ms", "utilisation", "cache", "jobs"):
+        data.pop(key, None)
+    data["units"] = [
+        {k: v for k, v in unit.items() if k not in VOLATILE_UNIT_KEYS}
+        for unit in data["units"]
+    ]
     return data

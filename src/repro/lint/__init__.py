@@ -26,9 +26,9 @@ from .engine import (
 )
 from .registry import LintContext, lint_pass, registered_passes
 
-# The directory-scanning layer reuses the batch cache, whose module imports
-# repro.core — which imports this package for the extraction gate.  Loading
-# the service symbols lazily keeps that import graph acyclic.
+# The directory runner the service is built on imports repro.core (batch.pool
+# runs extract_sql), and repro.core imports this package for the extraction
+# gate.  Loading the service symbols lazily keeps that import graph acyclic.
 _SERVICE_EXPORTS = (
     "LintScanReport",
     "lint_cache_key",

@@ -8,11 +8,9 @@ works on any directory of sources out of the box.
 
 from __future__ import annotations
 
-import json
-
-from ..frontends import available_frontends
+from ..batch.cli import add_runner_flags, run_command
 from .diagnostics import Severity
-from .service import lint_directory
+from .service import LintScanReport, lint_directory
 
 #: ``--fail-on`` choices; ``none`` disables threshold-based failure.
 FAIL_ON_CHOICES = ("error", "warning", "info", "none")
@@ -28,59 +26,22 @@ def add_lint_parser(sub) -> None:
         "lint",
         help="check sources for soundness blockers and anti-patterns",
     )
-    lint.add_argument("directory", help="directory (or file) to lint")
-    lint.add_argument(
-        "--frontend",
-        default=None,
-        choices=list(available_frontends()),
-        help="restrict linting to one language frontend "
-        "(default: auto-detect every registered frontend by file suffix)",
-    )
+    add_runner_flags(lint, "lint")
     lint.add_argument(
         "--fail-on",
         default="error",
         choices=FAIL_ON_CHOICES,
         help="exit non-zero when a finding at or above this severity exists "
-        "(default: error)",
+        "(default: error); parse errors and crashed units always do",
     )
-    lint.add_argument(
-        "-j",
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes (default 1 = serial)",
-    )
-    lint.add_argument(
-        "--cache-dir",
-        default=None,
-        help="result cache location (default: DIRECTORY/.repro-cache)",
-    )
-    lint.add_argument(
-        "--no-cache", action="store_true", help="disable the result cache"
-    )
-    lint.add_argument("--json", action="store_true", help="emit the report as JSON")
     lint.set_defaults(func=cmd_lint)
 
 
 def cmd_lint(args) -> int:
-    if args.jobs < 1:
-        raise SystemExit(f"--jobs must be >= 1, got {args.jobs}")
-    report = lint_directory(
-        args.directory,
-        jobs=args.jobs,
-        cache_dir=args.cache_dir,
-        use_cache=not args.no_cache,
-        frontend=args.frontend,
+    threshold = fail_threshold(args.fail_on)
+    return run_command(
+        args,
+        lint_directory,
+        LintScanReport.render_text,
+        lambda report: report.exit_code(threshold),
     )
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2))
-    else:
-        print(report.render_text())
-    if not report.units and not report.parse_errors:
-        print(f"no source files found under {args.directory}")
-        return 1
-    if report.parse_errors:
-        return 1
-    if report.exceeds(fail_threshold(args.fail_on)):
-        return 1
-    return 0

@@ -1,28 +1,20 @@
-"""Directory-level linting: discovery → cache probe → pool → report.
+"""Directory-level linting: the batch directory runner with a lint unit.
 
-Mirrors :func:`repro.batch.service.scan_directory` and reuses its
-machinery: the same source discovery (:func:`repro.batch.discovery.plan_units`),
-the same content-addressed JSON cache (keys carry a ``"kind": "lint"``
-marker so lint and scan entries coexist in one ``.repro-cache``), and the
-same serial-or-pool execution with order-preserving results.
+:func:`lint_directory` runs :func:`repro.batch.service.run_directory`
+with :func:`lint_unit` and :func:`lint_cache_key` (keys carry a
+``"kind": "lint"`` marker so lint and scan entries coexist in one
+``.repro-cache``); this module adds only those and the lint report.
 """
 
 from __future__ import annotations
 
-import json
-import multiprocessing
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..batch.cache import (
-    CACHE_DIR_NAME,
-    CACHE_FORMAT,
-    NullCache,
-    ResultCache,
-    sha256_hex,
-)
-from ..batch.discovery import WorkUnit, plan_units
+from ..batch.cache import CACHE_FORMAT, payload_key
+from ..batch.discovery import WorkUnit
+from ..batch.report import DirectoryReport
+from ..batch.service import run_directory
 from ..frontends import DEFAULT_FRONTEND, get_frontend
 from .diagnostics import Severity
 from .engine import lint_function
@@ -38,7 +30,7 @@ def lint_cache_key(
     source: str, function: str, *, frontend: str = DEFAULT_FRONTEND
 ) -> str:
     """SHA-256 over everything that determines a lint result."""
-    payload = json.dumps(
+    return payload_key(
         {
             "kind": "lint",
             "format": CACHE_FORMAT,
@@ -46,11 +38,8 @@ def lint_cache_key(
             "source": source,
             "function": function,
             "frontend": frontend,
-        },
-        sort_keys=True,
-        separators=(",", ":"),
+        }
     )
-    return sha256_hex(payload)
 
 
 def lint_unit(unit: WorkUnit) -> dict:
@@ -76,30 +65,13 @@ def lint_unit(unit: WorkUnit) -> dict:
     return result
 
 
-def _run_lint_units(units: list[WorkUnit], jobs: int) -> list[dict]:
-    if jobs <= 1 or len(units) <= 1:
-        return [lint_unit(unit) for unit in units]
-    processes = min(jobs, len(units))
-    with multiprocessing.Pool(processes=processes) as pool:
-        return pool.map(
-            lint_unit, units, chunksize=max(1, len(units) // (processes * 4))
-        )
-
-
-@dataclass
-class LintScanReport:
+class LintScanReport(DirectoryReport):
     """Aggregate result of linting a directory."""
 
-    root: str
-    units: list[dict] = field(default_factory=list)
-    parse_errors: dict[str, str] = field(default_factory=dict)
-    files: list[str] = field(default_factory=list)
-    jobs: int = 1
-    cache_dir: str | None = None
-    cache_hits: int = 0
-    cache_misses: int = 0
-    cache_stores: int = 0
-    timings_ms: dict[str, float] = field(default_factory=dict)
+    PHASE = "lint"
+    JSON_KEYS = (
+        "root", "files", "jobs", "counts", "units", "parse_errors", "cache", "timings_ms",
+    )
 
     def all_diagnostics(self) -> list[tuple[str, dict]]:
         """(file path, diagnostic dict) pairs in report order."""
@@ -129,22 +101,17 @@ class LintScanReport:
         worst = self.max_severity
         return worst is not None and worst >= threshold
 
-    def to_dict(self) -> dict:
-        return {
-            "root": self.root,
-            "files": list(self.files),
-            "jobs": self.jobs,
-            "counts": self.counts(),
-            "units": list(self.units),
-            "parse_errors": dict(self.parse_errors),
-            "cache": {
-                "dir": self.cache_dir,
-                "hits": self.cache_hits,
-                "misses": self.cache_misses,
-                "stores": self.cache_stores,
-            },
-            "timings_ms": dict(self.timings_ms),
-        }
+    @property
+    def crashed(self) -> list[dict]:
+        """Units whose lint passes raised (they carry an ``"error"``)."""
+        return [unit for unit in self.units if unit.get("error")]
+
+    def exit_code(self, threshold: Severity | None) -> int:
+        """1 on a parse error, a crashed unit, or a finding at ``threshold``."""
+        return 1 if self.parse_errors or self.crashed or self.exceeds(threshold) else 0
+
+    def kind_fields(self) -> dict:
+        return {"counts": self.counts()}
 
     def render_text(self) -> str:
         lines = []
@@ -157,6 +124,8 @@ class LintScanReport:
             )
         for path, error in sorted(self.parse_errors.items()):
             lines.append(f"{path}: parse error: {error}")
+        for unit in self.crashed:
+            lines.append(f"{unit['file']}::{unit['function']}: error: {unit['error']}")
         counts = self.counts()
         summary = ", ".join(
             f"{counts[str(s)]} {s}" for s in sorted(Severity, reverse=True)
@@ -174,65 +143,8 @@ def lint_directory(
     use_cache: bool = True,
     frontend: str | None = None,
 ) -> LintScanReport:
-    """Lint every function in every source file under ``root``.
-
-    Files are matched and parsed by the registered language frontends
-    (suffix auto-detection); ``frontend`` restricts the run to one
-    frontend's files.
-    """
-    start = time.perf_counter()
-    discovery = plan_units(root, frontend)
-    discover_ms = (time.perf_counter() - start) * 1000.0
-
-    if not use_cache:
-        cache: ResultCache | NullCache = NullCache()
-    else:
-        root_path = Path(root)
-        base = root_path if root_path.is_dir() else root_path.parent
-        cache = ResultCache(
-            cache_dir if cache_dir is not None else base / CACHE_DIR_NAME
-        )
-
-    keys = [
-        lint_cache_key(unit.source, unit.function, frontend=unit.frontend)
-        for unit in discovery.units
-    ]
-    results: list[dict | None] = []
-    pending: list[int] = []
-    for index, key in enumerate(keys):
-        hit = cache.get(key)
-        if hit is not None:
-            hit = dict(hit)
-            hit["cached"] = True
-            results.append(hit)
-        else:
-            results.append(None)
-            pending.append(index)
-
-    lint_start = time.perf_counter()
-    fresh = _run_lint_units([discovery.units[i] for i in pending], jobs)
-    lint_ms = (time.perf_counter() - lint_start) * 1000.0
-
-    for index, result in zip(pending, fresh):
-        unit = discovery.units[index]
-        cache.put(keys[index], unit.path, unit.function, result)
-        result = dict(result)
-        result["cached"] = False
-        results[index] = result
-
-    return LintScanReport(
-        root=str(root),
-        units=[r for r in results if r is not None],
-        parse_errors=dict(discovery.errors),
-        files=list(discovery.files),
-        jobs=jobs,
-        cache_dir=str(cache.directory) if cache.directory is not None else None,
-        cache_hits=cache.hits,
-        cache_misses=cache.misses,
-        cache_stores=cache.stores,
-        timings_ms={
-            "discover": discover_ms,
-            "lint": lint_ms,
-            "total": (time.perf_counter() - start) * 1000.0,
-        },
+    """Lint every function under ``root`` (see :func:`repro.batch.run_directory`)."""
+    return run_directory(
+        LintScanReport, lint_unit, lint_cache_key, (),
+        root, jobs, cache_dir, use_cache, frontend,
     )

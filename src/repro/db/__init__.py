@@ -3,7 +3,6 @@
 from .connection import Connection, ConnectionStats, CostParameters, describe_plan
 from .engine import Database, EngineDivergenceError, EngineError, ReferenceEvaluator
 from .stats import (
-    COLUMNAR_MIN_ROWS,
     STATS_EXACT_MAX,
     STATS_SAMPLE_SIZE,
     CardinalityEstimator,
@@ -16,7 +15,6 @@ from .stats import (
 from .types import Row, row_size_bytes, value_size_bytes
 
 __all__ = [
-    "COLUMNAR_MIN_ROWS",
     "STATS_EXACT_MAX",
     "STATS_SAMPLE_SIZE",
     "CardinalityEstimator",

@@ -39,12 +39,9 @@ engines raise a type error the raising row can differ — but whether an
 error occurs is identical because the reference evaluates both sides of
 every AND/OR too.
 
-The **adaptive switch** has two layers: at plan time the Volcano search
-only considers a pipeline when the table's statistics put it at or above
-:data:`~repro.db.stats.COLUMNAR_MIN_ROWS`; at run time the pipeline
-re-checks the live row count and delegates to its row-at-a-time
-``fallback`` plan below the threshold (a safety net for plans executed
-around the statistics cache).
+There is no small-input switch: a pipeline runs on tables of any size,
+empty ones included, and in ``auto`` mode the planner offers it wherever
+the shape is supported — on tiny tables it at least matches the row path.
 """
 
 from __future__ import annotations
@@ -564,9 +561,6 @@ class ColumnarPipeline(PhysicalOp):
     row↔column boundary sits at this operator's output: whatever consumes
     it (a hash join's build side, a sort, the client) sees ordinary row
     dicts, bit-identical to the row-at-a-time plan's.
-
-    ``fallback`` is the equivalent row-at-a-time plan, taken when the live
-    table is below ``min_rows`` (the runtime half of the adaptive switch).
     """
 
     label = "Columnar"
@@ -578,16 +572,12 @@ class ColumnarPipeline(PhysicalOp):
         table_columns: tuple[str, ...],
         pred: ScalarExpr | None,
         head: tuple[str, Any],
-        fallback: PhysicalOp,
-        min_rows: int,
     ):
         self.name = name
         self.alias = alias or name
         self.table_columns = tuple(table_columns)
         self.pred = pred
         self.head_kind, self.head_node = head
-        self.fallback = fallback
-        self.min_rows = min_rows
         #: Columns the post-selection stages read (gathered via the
         #: selection vector; everything else is never touched).
         if self.head_kind == "aggregate":
@@ -634,7 +624,7 @@ class ColumnarPipeline(PhysicalOp):
                 stages.append(f"top {self.head_node[1]} by [{keys}]")
             else:
                 stages.append(f"τ[{keys}]")
-        return " → ".join(stages) + f" (min_rows={self.min_rows})"
+        return " → ".join(stages)
 
     def scanned_rows(self, ctx: ExecContext) -> int:
         return ctx.probed.get(id(self), 0)
@@ -645,11 +635,6 @@ class ColumnarPipeline(PhysicalOp):
         db = ctx.db
         rows = db.rows(self.name)
         n = len(rows)
-        if n < self.min_rows:
-            # Adaptive switch, runtime layer: tiny inputs take the cheap
-            # row-at-a-time path.
-            yield from self.fallback.execute(ctx, outer)
-            return
         cols = db.columns(self.name)
         ctx.probed[id(self)] = ctx.probed.get(id(self), 0) + n
         params = ctx.params
@@ -843,9 +828,8 @@ class ColumnarHashJoin(PhysicalOp):
     ``residual`` the remaining conjuncts, evaluated in one vector pass over
     the candidate-pair namespace described by ``layout`` (see
     :func:`residual_layout`).  ``fallback`` is the row :class:`HashJoin`,
-    taken below ``min_rows`` (adaptive switch) and on unhashable build
-    keys (where the row path's nested-loop degrade is the only strategy
-    that preserves equality semantics).
+    taken on unhashable build keys (where the row path's nested-loop
+    degrade is the only strategy that preserves equality semantics).
     """
 
     label = "ColumnarHashJoin"
@@ -860,7 +844,6 @@ class ColumnarHashJoin(PhysicalOp):
         residual,
         layout,
         fallback: PhysicalOp,
-        min_rows: int,
     ):
         self.node = node
         self.left_name, self.left_alias, left_columns, self.left_pred = left_side
@@ -877,7 +860,6 @@ class ColumnarHashJoin(PhysicalOp):
         self.residual = residual
         self.layout = dict(layout)
         self.fallback = fallback
-        self.min_rows = min_rows
         self.left_qnames = tuple(
             f"{self.left_alias}.{c}" for c in self.left_columns
         )
@@ -899,7 +881,7 @@ class ColumnarHashJoin(PhysicalOp):
         )
         if self.residual is not None:
             text += f" residual {self.residual}"
-        return text + f" (min_rows={self.min_rows})"
+        return text
 
     def scanned_rows(self, ctx: ExecContext) -> int:
         return ctx.probed.get(id(self), 0)
@@ -911,9 +893,6 @@ class ColumnarHashJoin(PhysicalOp):
         left_rows = db.rows(self.left_name)
         right_rows = db.rows(self.right_name)
         nl, nr = len(left_rows), len(right_rows)
-        if nl + nr < self.min_rows:
-            yield from self.fallback.execute(ctx, outer)
-            return
         params = ctx.params
         left_cols = db.columns(self.left_name)
         right_cols = db.columns(self.right_name)
@@ -1088,7 +1067,6 @@ class ColumnarSemiJoin(PhysicalOp):
         inner_keys,
         negated: bool,
         fallback: PhysicalOp,
-        min_rows: int,
     ):
         (
             self.child_name,
@@ -1108,7 +1086,6 @@ class ColumnarSemiJoin(PhysicalOp):
         self.inner_keys = tuple(inner_keys)
         self.negated = negated
         self.fallback = fallback
-        self.min_rows = min_rows
         self.outer_key_columns = used_columns(self.outer_keys)
         self.inner_key_columns = used_columns(self.inner_keys)
         if negated:
@@ -1121,10 +1098,7 @@ class ColumnarSemiJoin(PhysicalOp):
         keys = ", ".join(
             f"{o} = {i}" for o, i in zip(self.outer_keys, self.inner_keys)
         )
-        return (
-            f"{self.child_name} ⋉ {self.build_name} on {keys}"
-            f" (min_rows={self.min_rows})"
-        )
+        return f"{self.child_name} ⋉ {self.build_name} on {keys}"
 
     def scanned_rows(self, ctx: ExecContext) -> int:
         return ctx.probed.get(id(self), 0)
@@ -1136,9 +1110,6 @@ class ColumnarSemiJoin(PhysicalOp):
         child_rows = db.rows(self.child_name)
         build_rows = db.rows(self.build_name)
         nc, nb = len(child_rows), len(build_rows)
-        if nc + nb < self.min_rows:
-            yield from self.fallback.execute(ctx, outer)
-            return
         params = ctx.params
         build_cols = db.columns(self.build_name)
 

@@ -324,10 +324,11 @@ class Database:
 
     @property
     def columnar_mode(self) -> str:
-        """Columnar execution policy: ``"auto"`` (statistics-driven cost
-        choice with the adaptive small-input switch), ``"off"`` (always
-        row-at-a-time), or ``"force"`` (columnar whenever structurally
-        supported — used by the differential tests)."""
+        """Columnar execution policy: ``"auto"`` (columnar wherever
+        supported, at any table size, with index probes the only costed
+        row alternative), ``"off"`` (always row-at-a-time), or
+        ``"force"`` (columnar whenever structurally supported, no cost
+        search — used by the differential tests)."""
         return self._columnar_mode
 
     @columnar_mode.setter

@@ -32,20 +32,29 @@ Lowerings considered:
   columns; uncorrelated ``EXISTS`` degenerates to a single emptiness probe.
 * ``σ``/``π``/``γ``/``τ`` (also ``τ`` under ``LIMIT``) over a base-table
   scan whose expressions are all vectorizable →
-  :class:`~repro.db.columnar.ColumnarPipeline`, when the table clears the
-  statistics-derived size threshold (the plan-time half of the adaptive
-  engine switch) — except point predicates an index can answer, which the
-  estimator keeps on the probe path.
-* ``⋈`` (inner/left) with extractable equality keys → :class:`HashJoin`,
+  :class:`~repro.db.columnar.ColumnarPipeline`, at any table size —
+  except point predicates an index can answer, which the estimator keeps
+  on the probe path, and heads whose filter an index probe answers more
+  cheaply, which run row-at-a-time over the :class:`IndexLookup`.
+* ``⋈`` (inner/left) with extractable equality keys →
   :class:`~repro.db.columnar.ColumnarHashJoin` when both inputs are
-  vectorizable scan shapes, or :class:`IndexNLJoin` when the right side
-  is a base table with an explicitly registered index on the join column
-  and the estimated probe cost beats the hash build.
-* correlated semi/anti joins → :class:`HashSemiJoin` or
-  :class:`~repro.db.columnar.ColumnarSemiJoin` (uncorrelated ``EXISTS``
-  always stays row: its build short-circuits after one row).
+  vectorizable scan shapes, else :class:`HashJoin`; or
+  :class:`IndexNLJoin` when the right side is a base table with an
+  explicitly registered index on the join column and the estimated probe
+  cost beats the hash build.
+* correlated semi/anti joins → :class:`~repro.db.columnar.ColumnarSemiJoin`
+  when both sides are vectorizable scans, else :class:`HashSemiJoin`
+  (uncorrelated ``EXISTS`` always stays row: its build short-circuits
+  after one row).
 * ``τ`` under ``LIMIT`` → :class:`TopN` (bounded heap).
 * Everything else → streaming counterparts of the reference operators.
+
+Where a columnar candidate exists, the only row alternatives costed beside
+it are index probes: any row operator that scans the table pays per-row
+materialization the vectorized scan skips, so it could never win.  Row
+operators remain for ``columnar="off"``, non-scan inputs, ``LIMIT``'s early
+exit, unsupported expressions, and the columnar joins' unhashable-key
+fallback.
 
 Every cost decision leaves a breadcrumb in ``Database.last_plan_search``:
 the chosen operator, its cost, each rejected alternative's cost, and the
@@ -104,7 +113,7 @@ from .physical import (
     SortOp,
     TopN,
 )
-from .stats import COLUMNAR_MIN_ROWS, CardinalityEstimator
+from .stats import CardinalityEstimator
 
 #: Wrapper operators that preserve (non-)emptiness of their child, so an
 #: EXISTS test can see through them.  Limit needs ``count >= 1`` (checked
@@ -121,6 +130,12 @@ _C_ROW = 1.0
 _C_EVAL = 0.55
 _C_VEC = 0.06
 _C_PROBE = 0.25
+
+#: Point-predicate guard: a selection an index can answer keeps the probe
+#: path (no columnar candidate) when the estimator expects fewer output
+#: rows than this — an index-vs-scan policy a skewed cost constant must
+#: not override.
+_POINT_ROWS = 64
 
 #: Aggregate functions the columnar pipeline can fold (same set as the
 #: row engine's incremental path).
@@ -323,10 +338,11 @@ class Planner:
     """Lowers algebra trees to physical plans for one :class:`Database`.
 
     ``columnar`` overrides the database's columnar mode for this lowering:
-    ``"auto"`` (cost + statistics threshold), ``"off"`` (row operators
-    only), or ``"force"`` (columnar wherever structurally supported — used
-    by differential tests and benchmarks to pin the engine).  The
-    estimator reads slot values from ``bindings`` (see :meth:`Database.plan`).
+    ``"auto"`` (columnar wherever supported, costed against index
+    probes), ``"off"`` (row operators only), or ``"force"`` (columnar
+    wherever structurally supported — used by differential tests and
+    benchmarks to pin the engine).  The estimator reads slot values from
+    ``bindings`` (see :meth:`Database.plan`).
     """
 
     def __init__(self, db: Database, columnar: str | None = None, bindings=None):
@@ -451,7 +467,6 @@ class Planner:
 
         est = self.estimator
         row_count = est.table_rows(table.name)
-        filter_plan = FilterOp(SeqScan(table.name, table.alias), node.pred)
         candidates = []
 
         lookup, probe_rows = self._best_index_lookup(node, conjuncts)
@@ -460,29 +475,35 @@ class Planner:
                 ("IndexLookup", _C_PROBE + probe_rows * (_C_ROW + _C_EVAL), lookup)
             )
 
+        pipeline = None
         if allow_columnar:
-            pipeline = self._pipeline(
-                table,
-                node.pred,
-                ("filter", None),
-                (),
-                fallback=lookup if lookup is not None else filter_plan,
+            pipeline = self._pipeline(table, node.pred, ("filter", None), ())
+        if pipeline is not None:
+            if self.columnar == "force":
+                return pipeline
+            out = row_count * est.selectivity(node.pred, table.name)
+            # Point-predicate guard: when an index probe exists and the
+            # estimator says the predicate keeps only a handful of rows,
+            # vectorizing the whole scan cannot beat the O(1) probe —
+            # drop the columnar candidate instead of letting a skewed
+            # cost constant pick it.
+            if lookup is not None and out < _POINT_ROWS:
+                pipeline = None
+        if pipeline is not None:
+            candidates.append(
+                ("Columnar", row_count * _C_VEC + out * _C_ROW, pipeline)
             )
-            if pipeline is not None:
-                if self.columnar == "force":
-                    return pipeline
-                out = row_count * est.selectivity(node.pred, table.name)
-                # Point-predicate guard: when an index probe exists and the
-                # estimator says the predicate keeps only a handful of rows,
-                # vectorizing the whole scan cannot beat the O(1) probe —
-                # drop the columnar candidate instead of letting a skewed
-                # cost constant pick it.
-                if lookup is None or out >= COLUMNAR_MIN_ROWS:
-                    candidates.append(
-                        ("Columnar", row_count * _C_VEC + out * _C_ROW, pipeline)
-                    )
-
-        candidates.append(("Filter", row_count * (_C_ROW + _C_EVAL), filter_plan))
+        else:
+            # A filtered row scan is costed only where no vectorized scan
+            # is on offer: it pays per-row materialization the pipeline
+            # skips, so beside one it could never win.
+            candidates.append(
+                (
+                    "Filter",
+                    row_count * (_C_ROW + _C_EVAL),
+                    FilterOp(SeqScan(table.name, table.alias), node.pred),
+                )
+            )
         return self._choose(f"select({table.name})", candidates)
 
     @staticmethod
@@ -567,33 +588,7 @@ class Planner:
         col_semi = self._columnar_semi(
             node, others, build_rel, outer_keys, inner_keys, negated, row_semi
         )
-        if col_semi is None:
-            return row_semi
-        if self.columnar == "force":
-            return col_semi
-        est = self.estimator
-        child_rel = node.child if not others else Select(node.child, conjoin(*others))
-        child_rows = est.estimate(child_rel)
-        build_rows = est.estimate(build_rel)
-        total = est.table_rows(col_semi.child_name) + est.table_rows(
-            col_semi.build_name
-        )
-        out = child_rows * _C_ROW  # same output either way: cancels, kept
-        col_cost = total * _C_VEC + (child_rows + build_rows) * _C_PROBE + out
-        row_cost = (
-            self._input_cost(child_rel)
-            + self._input_cost(build_rel)
-            + build_rows * _C_ROW
-            + child_rows * _C_PROBE
-            + out
-        )
-        return self._choose(
-            f"semi({col_semi.child_name})",
-            [
-                ("ColumnarSemiJoin", col_cost, col_semi),
-                (row_semi.label, row_cost, row_semi),
-            ],
-        )
+        return row_semi if col_semi is None else col_semi
 
     def _filtered_child(self, node: Select, others) -> PhysicalOp:
         """Lower the Select's child with the non-EXISTS conjuncts applied
@@ -757,10 +752,9 @@ class Planner:
     # ------------------------------------------------------------------
     # Columnar pipelines
 
-    def _pipeline(self, table: Table, pred, head, head_exprs, fallback):
+    def _pipeline(self, table: Table, pred, head, head_exprs):
         """A :class:`ColumnarPipeline` over ``table``, or ``None`` when the
-        mode, the statistics threshold, or expression support rules it
-        out."""
+        mode or expression support rules it out."""
         if self.columnar == "off":
             return None
         schema = self.catalog.get(table.name)
@@ -771,15 +765,8 @@ class Planner:
             exprs.append(pred)
         if not all(supported_expr(e, alias, columns) for e in exprs):
             return None
-        if self.columnar == "force":
-            min_rows = 0
-        else:
-            if self.db.stats(table.name).row_count < COLUMNAR_MIN_ROWS:
-                return None
-            min_rows = COLUMNAR_MIN_ROWS
         return ColumnarPipeline(
-            table.name, table.alias, schema.column_names(), pred, head,
-            fallback, min_rows,
+            table.name, table.alias, schema.column_names(), pred, head
         )
 
     def _scan_shape(self, rel: RelExpr):
@@ -812,7 +799,7 @@ class Planner:
         columnar pipeline; ``None`` defers to the generic row lowering."""
         if not allow_columnar or self.columnar == "off":
             return None
-        table, pred, select_node = self._scan_shape(node.child)
+        table, pred, _ = self._scan_shape(node.child)
         if table is None:
             return None
 
@@ -826,99 +813,78 @@ class Planner:
                 item.call.arg for item in node.aggs if item.call.arg is not None
             ]
             head = ("aggregate", node)
-            row_plan = HashAggregate(
-                self._lower(node.child, allow_columnar=False), node
-            )
-            row_op = "HashAggregate"
+            row_head = HashAggregate
             label = f"aggregate({table.name})"
         else:
             head_exprs = [item.expr for item in node.items]
             head = ("project", node)
-            row_plan = ProjectOp(
-                self._lower(node.child, allow_columnar=False), node
-            )
-            row_op = "Project"
+            row_head = ProjectOp
             label = f"project({table.name})"
 
-        pipeline = self._pipeline(table, pred, head, head_exprs, fallback=row_plan)
-        if pipeline is None:
-            return None
-        if self.columnar == "force":
+        pipeline = self._pipeline(table, pred, head, head_exprs)
+        if pipeline is None or self.columnar == "force":
             return pipeline
-
-        out = self.estimator.estimate(node)
-        row_cost, col_cost = self._head_costs(
-            table, pred, head_exprs, out, select_node
-        )
-        return self._choose(
+        return self._choose_head(
             label,
-            [("Columnar", col_cost, pipeline), (row_op, row_cost, row_plan)],
+            pipeline,
+            node.child,
+            head_exprs,
+            self.estimator.estimate(node),
+            lambda lookup: row_head(lookup, node),
         )
 
-    def _head_costs(self, table: Table, pred, head_exprs, out, select_node):
-        """Cost a π/γ head on the row path vs. the columnar pipeline."""
+    def _choose_head(self, label, pipeline, scan, head_exprs, out, row_head):
+        """Cost a π/γ/τ head's columnar pipeline over ``scan`` against the
+        same head run row-at-a-time over an index probe of the scan's
+        filter — the one row alternative that can beat a vectorized scan.
+        ``row_head`` wraps the probe in the head's row operator."""
+        table, pred, select_node = self._scan_shape(scan)
         est = self.estimator
-        row_count = est.table_rows(table.name)
-        n_exprs = len(head_exprs)
-        if pred is None:
-            rows_in = row_count
-            row_scan = row_count * _C_ROW
-            col_scan = 0.0
-        else:
-            rows_in = row_count * est.selectivity(pred, table.name)
+        rows_in = est.estimate(scan)
+        head_evals = rows_in * len(head_exprs)
+        col_scan = 0.0 if pred is None else est.table_rows(table.name) * _C_VEC
+        candidates = [
+            ("Columnar", col_scan + head_evals * _C_VEC + out * _C_ROW, pipeline)
+        ]
+        if select_node is not None:
             lookup, probe_rows = self._best_index_lookup(
                 select_node, split_conjuncts(pred)
             )
             if lookup is not None:
-                # The row path would probe an index instead of scanning.
-                row_scan = _C_PROBE + probe_rows * (_C_ROW + _C_EVAL)
-            else:
-                row_scan = row_count * (_C_ROW + _C_EVAL)
-            col_scan = row_count * _C_VEC
-        row_cost = row_scan + rows_in * _C_EVAL * n_exprs + out * _C_ROW
-        col_cost = col_scan + rows_in * _C_VEC * n_exprs + out * _C_ROW
-        return row_cost, col_cost
+                plan = row_head(lookup)
+                probe = _C_PROBE + probe_rows * (_C_ROW + _C_EVAL)
+                candidates.append(
+                    (plan.label, probe + head_evals * _C_EVAL + out * _C_ROW, plan)
+                )
+        return self._choose(label, candidates)
 
     def _columnar_order(self, node: Sort, count, allow_columnar: bool) -> PhysicalOp:
         """Lower ``τ`` (or ``LIMIT`` over ``τ``) with a columnar sort/top-N
         candidate when the child is a vectorizable filtered scan; otherwise
         exactly the generic :class:`SortOp`/:class:`TopN` lowering."""
-        if allow_columnar and self.columnar != "off":
-            table, pred, select_node = self._scan_shape(node.child)
-        else:
-            table, pred, select_node = None, None, None
-        if table is not None:
-            head_exprs = [k.expr for k in node.keys]
+        head_exprs = [k.expr for k in node.keys]
+        table, pred, _ = self._scan_shape(node.child)
+        pipeline = None
+        if allow_columnar and table is not None:
             head = ("sort", node) if count is None else ("topn", (node, count))
-            row_child = self._lower(node.child, allow_columnar=False)
-            row_plan = (
-                SortOp(row_child, node)
-                if count is None
-                else TopN(row_child, node, count)
-            )
-            pipeline = self._pipeline(
-                table, pred, head, head_exprs, fallback=row_plan
-            )
-            if pipeline is not None:
-                if self.columnar == "force":
-                    return pipeline
-                est = self.estimator
-                rows_in = est.table_rows(table.name)
-                if pred is not None:
-                    rows_in *= est.selectivity(pred, table.name)
-                out = rows_in if count is None else min(max(count, 0), rows_in)
-                row_cost, col_cost = self._head_costs(
-                    table, pred, head_exprs, out, select_node
-                )
-                kind = "sort" if count is None else "topn"
-                return self._choose(
-                    f"{kind}({table.name})",
-                    [
-                        ("Columnar", col_cost, pipeline),
-                        (row_plan.label, row_cost, row_plan),
-                    ],
-                )
-        child = self._lower(node.child, allow_columnar)
+            pipeline = self._pipeline(table, pred, head, head_exprs)
+        if pipeline is None:
+            child = self._lower(node.child, allow_columnar)
+            return self._row_order(child, node, count)
+        if self.columnar == "force":
+            return pipeline
+        kind = "sort" if count is None else "topn"
+        return self._choose_head(
+            f"{kind}({table.name})",
+            pipeline,
+            node.child,
+            head_exprs,
+            self.estimator.estimate(node if count is None else Limit(node, count)),
+            lambda lookup: self._row_order(lookup, node, count),
+        )
+
+    @staticmethod
+    def _row_order(child: PhysicalOp, node: Sort, count) -> PhysicalOp:
         return SortOp(child, node) if count is None else TopN(child, node, count)
 
     def _vector_side(self, rel: RelExpr, exprs):
@@ -941,16 +907,6 @@ class Planner:
         if not all(supported_expr(e, alias, column_set) for e in checks):
             return None
         return (table.name, alias, tuple(columns), pred)
-
-    def _input_cost(self, rel: RelExpr) -> float:
-        """Row-path cost of producing ``rel``'s rows: per-row dict
-        materialization plus per-row predicate evaluation for filtered
-        scans; cardinality × row cost for anything else."""
-        table, pred, _ = self._scan_shape(rel)
-        if table is not None:
-            n = self.estimator.table_rows(table.name)
-            return n * (_C_ROW + (_C_EVAL if pred is not None else 0.0))
-        return self.estimator.estimate(rel) * _C_ROW
 
     # ------------------------------------------------------------------
     # Joins
@@ -1001,23 +957,27 @@ class Planner:
         if col_join is not None and self.columnar == "force":
             return col_join
 
-        est = self.estimator
         # Index nested-loop only on explicit opt-in (create_index): for a
         # one-shot join the hash build is at least as good, but a
         # registered index persists across queries.  Among the
         # order-preserving strategies, estimated cost decides.
-        index_candidate = None
         right_key = right_keys[0]
-        if (
+        indexed = (
             len(right_keys) == 1
             and isinstance(node.right, Table)
             and isinstance(right_key, Col)
             and right_key.name
             in set(self.catalog.get(node.right.name).column_names())
             and self.db.has_index(node.right.name, right_key.name)
-        ):
-            left_rows = est.estimate(node.left)
-            right_rows = est.estimate(node.right)
+        )
+        if col_join is None and not indexed:
+            return hash_join
+
+        est = self.estimator
+        left_rows = est.estimate(node.left)
+        right_rows = est.estimate(node.right)
+        candidates = []
+        if indexed:
             ndv = est.ndv(node.right.name, right_key.name) or 1
             matches = right_rows / max(ndv, 1)
             inl = IndexNLJoin(
@@ -1030,61 +990,37 @@ class Planner:
                 residual_pred,
                 fallback=hash_join,
             )
-            index_candidate = (
-                "IndexNLJoin",
-                left_rows * (_C_PROBE + matches * _C_ROW),
-                inl,
-            )
+            cost = left_rows * (_C_PROBE + matches * _C_ROW)
+            if col_join is not None:
+                # The columnar join replaces the child scans too, so the
+                # index join also pays its left scan's per-row
+                # materialization (and filter evaluation).
+                scan = _C_ROW + (_C_EVAL if col_join.left_pred is not None else 0.0)
+                cost += est.table_rows(col_join.left_name) * scan
+            candidates.append(("IndexNLJoin", cost, inl))
 
         if col_join is None:
-            if index_candidate is None:
-                return hash_join
-            left_rows = est.estimate(node.left)
-            right_rows = est.estimate(node.right)
-            return self._choose(
-                f"join({node.right.name})",
-                [
-                    index_candidate,
-                    (
-                        "HashJoin",
-                        right_rows * _C_ROW + left_rows * (_C_PROBE + _C_ROW),
-                        hash_join,
-                    ),
-                ],
+            candidates.append(
+                (
+                    "HashJoin",
+                    right_rows * _C_ROW + left_rows * (_C_PROBE + _C_ROW),
+                    hash_join,
+                )
             )
-
-        # A columnar candidate replaces the child scans too, so this group
-        # costs each strategy subtree-inclusively: row strategies pay their
-        # inputs' per-row materialization, the vectorized join pays per-row
-        # vector evaluation over the raw columns instead.
-        left_rows = est.estimate(node.left)
-        right_rows = est.estimate(node.right)
-        out = est.estimate(node)
+            return self._choose(f"join({node.right.name})", candidates)
+        # The vectorized join pays per-row vector evaluation over the raw
+        # columns; a row hash join over the same scans would pay per-row
+        # materialization on top, so it is never a candidate beside it.
         total = est.table_rows(col_join.left_name) + est.table_rows(
             col_join.right_name
         )
-        candidates = []
-        if index_candidate is not None:
-            op, cost, plan = index_candidate
-            candidates.append((op, self._input_cost(node.left) + cost, plan))
         candidates.append(
             (
                 "ColumnarHashJoin",
                 total * _C_VEC
                 + (left_rows + right_rows) * _C_PROBE
-                + out * _C_ROW,
+                + est.estimate(node) * _C_ROW,
                 col_join,
-            )
-        )
-        candidates.append(
-            (
-                "HashJoin",
-                self._input_cost(node.left)
-                + self._input_cost(node.right)
-                + right_rows * _C_ROW
-                + left_rows * (_C_PROBE + _C_ROW)
-                + out * _C_ROW,
-                hash_join,
             )
         )
         return self._choose(f"join({col_join.right_name})", candidates)
@@ -1093,8 +1029,8 @@ class Planner:
         self, node: Join, left_keys, right_keys, residual, fallback
     ) -> ColumnarHashJoin | None:
         """A :class:`ColumnarHashJoin` for ``node``, or ``None`` when the
-        join kind, either side's shape, any key/predicate/residual
-        expression, or the statistics threshold rules it out."""
+        join kind, either side's shape, or any key/predicate/residual
+        expression rules it out."""
         if node.kind not in ("inner", "left"):
             return None
         left_side = self._vector_side(node.left, left_keys)
@@ -1108,15 +1044,6 @@ class Planner:
             residual, lalias, lcols, ralias, rcols
         ):
             return None
-        if self.columnar == "force":
-            min_rows = 0
-        else:
-            total = self.estimator.table_rows(
-                left_side[0]
-            ) + self.estimator.table_rows(right_side[0])
-            if total < COLUMNAR_MIN_ROWS:
-                return None
-            min_rows = COLUMNAR_MIN_ROWS
         layout = residual_layout(residual, lalias, lcols, ralias, rcols)
         return ColumnarHashJoin(
             node,
@@ -1127,7 +1054,6 @@ class Planner:
             residual,
             layout,
             fallback,
-            min_rows,
         )
 
     def _columnar_semi(
@@ -1135,8 +1061,8 @@ class Planner:
         fallback,
     ) -> ColumnarSemiJoin | None:
         """A :class:`ColumnarSemiJoin` for a decorrelated EXISTS, or
-        ``None`` when either side's shape, any key expression, or the
-        statistics threshold rules it out."""
+        ``None`` when the mode, either side's shape, or any key expression
+        rules it out."""
         if self.columnar == "off":
             return None
         child_rel = (
@@ -1146,21 +1072,6 @@ class Planner:
         build_side = self._vector_side(build_rel, inner_keys)
         if child_side is None or build_side is None:
             return None
-        if self.columnar == "force":
-            min_rows = 0
-        else:
-            total = self.estimator.table_rows(
-                child_side[0]
-            ) + self.estimator.table_rows(build_side[0])
-            if total < COLUMNAR_MIN_ROWS:
-                return None
-            min_rows = COLUMNAR_MIN_ROWS
         return ColumnarSemiJoin(
-            child_side,
-            build_side,
-            outer_keys,
-            inner_keys,
-            negated,
-            fallback,
-            min_rows,
+            child_side, build_side, outer_keys, inner_keys, negated, fallback
         )

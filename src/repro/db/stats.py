@@ -1,8 +1,10 @@
 """Per-table statistics and cardinality estimation.
 
-The planned engine's lowering decisions (access path, join strategy,
-columnar vs. row execution) were originally fixed heuristics with no
-knowledge of the data.  This module grounds them in observed table shape:
+The planned engine's lowering decisions (index probe vs. scan, join
+strategy, a columnar head vs. the same head over an index probe) were
+originally fixed heuristics with no knowledge of the data.  This module
+grounds them in observed table shape (no choice gates on table size:
+the vectorized scan is offered for tables of any size, empty included):
 
 * :class:`TableStats` — row count plus per-column :class:`ColumnStats`
   (non-NULL count, NULL count, number of distinct values, min/max, and an
@@ -55,13 +57,6 @@ from .types import is_truthy
 
 #: Equi-width histogram resolution (buckets per numeric column).
 HISTOGRAM_BUCKETS = 16
-
-#: Below this many rows the row-at-a-time path wins: per-batch dispatch,
-#: column gathering, and result assembly cost more than they save.  The
-#: crossover was measured on the ``bench_engine`` aggregation workload
-#: (row path ≈ 3 µs/row of constant work vs. ≈ 0.2 ms of fixed columnar
-#: overhead); the adaptive switch routes anything smaller to the row path.
-COLUMNAR_MIN_ROWS = 64
 
 #: Above this many rows ``Database.stats`` switches from an exact full-pass
 #: build to a sampled one: one full O(n) statistics pass per epoch stops
@@ -622,7 +617,9 @@ class CardinalityEstimator:
                         self._ndv_below(conjunct.right, rel),
                     ]
                     known = [n for n in ndvs if n is not None]
-                    rows /= float(max(known)) if known else 10.0
+                    # NDV 0 (empty table, all-NULL key): clamp the divisor
+                    # like the planner's ``max(ndv, 1)`` does.
+                    rows /= float(max(*known, 1)) if known else 10.0
                 else:
                     rows *= DEFAULT_SELECTIVITY
         if rel.kind == "left":

@@ -1,4 +1,4 @@
-"""Columnar execution tests: plan shapes, the adaptive engine switch,
+"""Columnar execution tests: plan shapes (tiny tables included),
 aggregate corner parity, a three-way differential sweep (reference ≡
 row-at-a-time ≡ columnar), and the scale-100 aggregation regression guard.
 """
@@ -32,7 +32,6 @@ from repro.algebra import (
     Table,
 )
 from repro.db import (
-    COLUMNAR_MIN_ROWS,
     Database,
     EngineDivergenceError,
     EngineError,
@@ -52,7 +51,6 @@ from repro.db.physical import (
     LimitOp,
     ProjectOp,
     SeqScan,
-    SortOp,
     TopN,
 )
 from repro.db.planner import Planner
@@ -119,11 +117,6 @@ class TestPlanShapes:
         db = _make_db(200)
         assert isinstance(Planner(db).lower(PROJ), ColumnarPipeline)
 
-    def test_small_table_stays_row(self):
-        db = _make_db(COLUMNAR_MIN_ROWS - 1)
-        assert isinstance(Planner(db).lower(FILTER), FilterOp)
-        assert isinstance(Planner(db).lower(AGG), HashAggregate)
-
     def test_point_lookup_beats_columnar(self):
         # id is the declared key: probing one row beats scanning 200.
         db = _make_db(200)
@@ -184,45 +177,6 @@ class TestPlanShapes:
         assert isinstance(
             Planner(db, columnar="force").lower(query), FilterOp
         )
-
-
-class TestAdaptiveSwitch:
-    def test_threshold_is_exact(self):
-        below = _make_db(COLUMNAR_MIN_ROWS - 1)
-        at = _make_db(COLUMNAR_MIN_ROWS)
-        assert not isinstance(Planner(below).lower(FILTER), ColumnarPipeline)
-        assert isinstance(Planner(at).lower(FILTER), ColumnarPipeline)
-
-    def test_replan_when_table_grows(self):
-        db = _make_db(10)
-        assert not isinstance(db.plan(FILTER), ColumnarPipeline)
-        db.insert_many(
-            "t",
-            [
-                {"id": 10 + i, "grp": i % 10, "val": float(i), "label": "x"}
-                for i in range(300)
-            ],
-        )
-        # Epoch-keyed cache: the stale row plan is not reused.
-        assert isinstance(db.plan(FILTER), ColumnarPipeline)
-
-    def test_stale_plan_falls_back_at_runtime(self):
-        # A pipeline planned for 200 rows but executed against 5 routes
-        # through its row fallback (the runtime half of the switch).
-        db = _make_db(200)
-        plan = Planner(db).lower(AGG)
-        assert isinstance(plan, ColumnarPipeline)
-        assert plan.min_rows == COLUMNAR_MIN_ROWS
-        db.clear("t")
-        db.insert_many(
-            "t",
-            [
-                {"id": i, "grp": i % 2, "val": float(i), "label": "x"}
-                for i in range(5)
-            ],
-        )
-        rows = list(plan.execute(ExecContext(db, {})))
-        assert rows == db.execute(AGG, engine="reference")
 
 
 class TestAggregateCorners:
@@ -352,10 +306,6 @@ class TestJoinShapes:
         plan = Planner(db).lower(JOIN)
         assert isinstance(plan, ColumnarHashJoin)
 
-    def test_small_join_stays_row(self):
-        db = _join_db(COLUMNAR_MIN_ROWS // 4)
-        assert isinstance(Planner(db).lower(JOIN), HashJoin)
-
     def test_off_mode_join_stays_row(self):
         db = _join_db(500)
         assert isinstance(Planner(db, columnar="off").lower(JOIN), HashJoin)
@@ -477,10 +427,6 @@ class TestOrderShapes:
         plan = Planner(db).lower(SORT)
         assert isinstance(plan, ColumnarPipeline)
 
-    def test_small_sort_stays_row(self):
-        db = _join_db(COLUMNAR_MIN_ROWS // 4)
-        assert isinstance(Planner(db).lower(SORT), SortOp)
-
     def test_topn_goes_columnar(self):
         db = _join_db(200)
         assert isinstance(Planner(db).lower(TOPN), ColumnarPipeline)
@@ -541,6 +487,57 @@ class TestOrderShapes:
         assert rows == db.execute(TOPN, engine="reference")
 
 
+#: The only row alternatives a plan-search group may list beside a
+#: columnar candidate: index probes, which skip the scan a pipeline pays.
+_INDEX_OPS = {"IndexLookup", "IndexNLJoin"}
+
+
+@pytest.mark.parametrize("rows", [0, 1, 63])
+def test_tiny_tables_lower_to_columnar(rows):
+    """No small-table switch: in ``auto`` every supported scan shape lowers
+    to a columnar operator at 0, 1 and 63 rows, the result matches the
+    reference (and the row lowering) under ``engine="both"``, and no
+    plan-search group costs a non-index row alternative beside a
+    columnar one."""
+    semi = Select(
+        Table("l"),
+        ExistsExpr(Select(Table("r", "s"), BinOp("=", Col("fk", "s"), Col("id", "l")))),
+    )
+    point_head = Project(
+        Select(Table("t"), BinOp("=", Col("id"), Lit(0))),
+        (ProjectItem(Col("val"), "v"),),
+    )
+    cases = [
+        (_make_db(rows), FILTER, ColumnarPipeline),
+        (_make_db(rows), AGG, ColumnarPipeline),
+        (_make_db(rows), PROJ, ColumnarPipeline),
+        (_join_db(rows), SORT, ColumnarPipeline),
+        (_join_db(rows), TOPN, ColumnarPipeline),
+        (_join_db(rows), JOIN, ColumnarHashJoin),
+        (_join_db(rows), LEFT_JOIN, ColumnarHashJoin),
+        (_join_db(rows), semi, ColumnarSemiJoin),
+        (_make_db(rows), point_head, None),
+    ]
+    for db, query, expected_op in cases:
+        plan = db.plan(query)
+        if expected_op is not None:
+            assert isinstance(plan, expected_op), (rows, query)
+        else:
+            # A head over a key probe may stay row — but only over the probe.
+            assert isinstance(plan, ColumnarPipeline) or isinstance(
+                plan.child, IndexLookup
+            ), (rows, plan)
+        for choice in db.last_plan_search["choices"]:
+            ops = [choice["chosen"]] + [r["op"] for r in choice["rejected"]]
+            if any(op.startswith("Columnar") for op in ops):
+                row_ops = {op for op in ops if not op.startswith("Columnar")}
+                allowed = _INDEX_OPS | ({"Project"} if expected_op is None else set())
+                assert row_ops <= allowed, (rows, choice)
+        assert db.execute(query, engine="both") == db.execute(
+            query, engine="reference"
+        )
+
+
 class TestVectorScalars:
     def test_func_filter_parity(self):
         db = _make_db(150)
@@ -590,14 +587,18 @@ class TestVectorScalars:
 
 class TestPlanSearch:
     def test_breadcrumbs_record_rejected_alternatives(self):
+        # A registered index on the join column makes the index
+        # nested-loop join a real alternative to the columnar hash join.
         db = _join_db(500)
+        db.create_index("r", "fk")
         db.plan(JOIN)
         search = db.last_plan_search
         assert search is not None and search["choices"]
         join_choice = next(
             c for c in search["choices"] if c["label"].startswith("join(")
         )
-        assert join_choice["chosen"] in {"ColumnarHashJoin", "HashJoin"}
+        ops = {join_choice["chosen"]} | {r["op"] for r in join_choice["rejected"]}
+        assert ops == {"ColumnarHashJoin", "IndexNLJoin"}
         rejected_ops = {r["op"] for r in join_choice["rejected"]}
         assert rejected_ops  # the loser is recorded alongside the winner
         assert join_choice["margin"] >= 0
@@ -637,8 +638,9 @@ class TestPointSelectGate:
 @pytest.mark.parametrize("seed", [3, 17, 71, 113])
 def test_columnar_matches_row_and_reference(seed):
     """≥200 random queries across the seeds: the columnar lowering, the
-    row-at-a-time lowering, and the reference evaluator all return exactly
-    the same rows (values and order)."""
+    row-at-a-time lowering, the ``auto`` cost-based lowering, and the
+    reference evaluator all return exactly the same rows (values and
+    order)."""
     rng = random.Random(seed)
     checked = 0
     while checked < 50:
@@ -655,9 +657,13 @@ def test_columnar_matches_row_and_reference(seed):
             row_rows = db.execute(query, params, engine="planned")
             db.columnar_mode = "force"
             col_rows = db.execute(query, params, engine="planned")
+            # auto last: it runs the estimator's own choices, which off and
+            # force both skip.
             db.columnar_mode = "auto"
+            auto_rows = db.execute(query, params, engine="planned")
             assert row_rows == expected, f"seed={seed} query={query}"
             assert col_rows == expected, f"seed={seed} query={query}"
+            assert auto_rows == expected, f"seed={seed} query={query}"
             checked += 1
     assert checked >= 50
 
@@ -689,10 +695,9 @@ def _best_of(fn, repeats: int, loops: int) -> float:
 
 
 def test_scale_100_aggregation_not_slower_than_reference():
-    """The adaptive switch's reason to exist: at scale 100 the planned
-    engine (columnar via the cost choice) must at least match the
-    reference evaluator on the aggregation workload — this was a 0.73×
-    regression before the switch."""
+    """At scale 100 the planned engine (columnar via the cost choice)
+    must at least match the reference evaluator on the aggregation
+    workload (it was once a 0.73× regression)."""
     db = _make_db(100)
     assert isinstance(db.plan(AGG), ColumnarPipeline)
     db.execute(AGG, engine="planned")  # warm plan + column caches

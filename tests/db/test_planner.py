@@ -5,6 +5,10 @@ decorrelation, Top-N fusion, point lookups), index lifecycle (lazy build,
 invalidation on insert/clear), the plan cache, and the satellite fixes
 (left-join padding on empty right side, LIKE regex caching, AVG division
 semantics agreeing across engines).
+
+The shared fixture's tables hold a handful of rows, where ``auto`` mode
+lowers every supported scan shape to a columnar operator; tests that
+check a row operator's lowering pin ``columnar="off"``.
 """
 
 from __future__ import annotations
@@ -60,7 +64,7 @@ class TestHashJoinExtraction:
             Table("role", "r"),
             BinOp("=", Col("role_id", "u"), Col("id", "r")),
         )
-        plan = Planner(database).lower(join)
+        plan = Planner(database, columnar="off").lower(join)
         assert isinstance(plan, HashJoin)
         assert plan.left_keys == (Col("role_id", "u"),)
         assert plan.right_keys == (Col("id", "r"),)
@@ -73,7 +77,7 @@ class TestHashJoinExtraction:
             Table("role", "r"),
             BinOp("=", Col("id", "r"), Col("role_id", "u")),
         )
-        plan = Planner(database).lower(join)
+        plan = Planner(database, columnar="off").lower(join)
         assert isinstance(plan, HashJoin)
         assert plan.left_keys == (Col("role_id", "u"),)
         assert plan.right_keys == (Col("id", "r"),)
@@ -85,7 +89,7 @@ class TestHashJoinExtraction:
             BinOp("!=", Col("name", "u"), Lit("bob")),
         )
         join = Join(Table("wilosuser", "u"), Table("role", "r"), pred)
-        plan = Planner(database).lower(join)
+        plan = Planner(database, columnar="off").lower(join)
         assert isinstance(plan, HashJoin)
         assert len(plan.left_keys) == 1
         assert plan.residual is not None
@@ -131,7 +135,7 @@ class TestSemiJoin:
         )
 
     def test_correlated_exists_decorrelates(self, database):
-        plan = Planner(database).lower(self._exists_query())
+        plan = Planner(database, columnar="off").lower(self._exists_query())
         assert isinstance(plan, HashSemiJoin)
         assert plan.inner_keys == (Col("cust", "o"),)
         assert plan.outer_keys == (Col("cust", "customers"),)
@@ -139,7 +143,7 @@ class TestSemiJoin:
         assert {r["cust"] for r in rows} == {"a", "b"}
 
     def test_not_exists_is_anti_join(self, database):
-        plan = Planner(database).lower(self._exists_query(negated=True))
+        plan = Planner(database, columnar="off").lower(self._exists_query(negated=True))
         assert isinstance(plan, HashSemiJoin)
         assert plan.negated
         assert plan.label == "HashAntiJoin"
@@ -153,7 +157,7 @@ class TestSemiJoin:
         query = Select(
             Table("customers"), UnOp("NOT", ExistsExpr(inner))
         )
-        plan = Planner(database).lower(query)
+        plan = Planner(database, columnar="off").lower(query)
         assert isinstance(plan, HashSemiJoin)
         assert plan.negated
         _both(database, query)
@@ -189,7 +193,7 @@ class TestTopN:
         query = Limit(
             Sort(Table("project"), (SortKey(Col("budget"), ascending=False),)), 2
         )
-        plan = Planner(database).lower(query)
+        plan = Planner(database, columnar="off").lower(query)
         assert isinstance(plan, TopN)
         rows = _both(database, query)
         assert [r["budget"] for r in rows] == [30, 20]
@@ -239,9 +243,9 @@ class TestIndexes:
 
     def test_non_key_column_needs_explicit_index(self, database):
         query = Select(Table("project"), BinOp("=", Col("budget"), Lit(20)))
-        assert isinstance(Planner(database).lower(query), FilterOp)
+        assert isinstance(Planner(database, columnar="off").lower(query), FilterOp)
         database.create_index("project", "budget")
-        assert isinstance(Planner(database).lower(query), IndexLookup)
+        assert isinstance(Planner(database, columnar="off").lower(query), IndexLookup)
         _both(database, query)
 
     def test_index_invalidated_on_insert(self, database):
@@ -264,7 +268,7 @@ class TestIndexes:
             BinOp("=", Col("role_id", "u"), Col("id", "r")),
         )
         database.create_index("role", "id")
-        plan = Planner(database).lower(join)
+        plan = Planner(database, columnar="off").lower(join)
         assert isinstance(plan, IndexNLJoin)
         rows = _both(database, join)
         assert len(rows) == 3
@@ -303,6 +307,7 @@ class TestExplain:
             Table("role", "r"),
             BinOp("=", Col("role_id", "u"), Col("id", "r")),
         )
+        database.columnar_mode = "off"
         explain = database.explain(join)
         assert explain["op"] == "HashJoin"
         assert explain["rows_out"] == 3

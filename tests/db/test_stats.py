@@ -27,6 +27,7 @@ from repro.algebra import (
 )
 from repro.db import (
     CardinalityEstimator,
+    Connection,
     Database,
     EngineError,
     Histogram,
@@ -183,6 +184,20 @@ class TestCardinalityEstimator:
         # |L|·|R| / max(NDV) = 200·200/10; order of magnitude is the claim.
         estimate = est.estimate(join)
         assert 1_000 <= estimate <= 20_000
+
+    def test_equijoin_on_zero_ndv_keys_executes(self):
+        # Both key columns have NDV 0 (all-NULL key, empty table): the
+        # join estimate must not divide by zero on either entry point.
+        cat = Catalog()
+        cat.define("a", ["id", "k"], key=("id",))
+        cat.define("b", ["id", "k"], key=("id",))
+        db = Database(cat)
+        db.insert_many("a", [{"id": i, "k": None} for i in range(100)])
+        join = Join(Table("a"), Table("b"), BinOp("=", Col("k", "a"), Col("k", "b")))
+        assert CardinalityEstimator(db).estimate(join) == 0.0
+        assert db.execute(join, engine="reference") == []
+        assert db.execute(join, engine="both") == []
+        assert Connection(db).execute_query(join) == []
 
     def test_select_selectivity_needs_single_base_table(self):
         est = CardinalityEstimator(_make_db(50))

@@ -13,7 +13,6 @@ serial one apart from timing fields.
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 from typing import Callable
 
@@ -75,6 +74,8 @@ def run_units(
     """
     if jobs <= 1 or len(units) <= 1:
         return [unit_fn(unit, *context) for unit in units]
+    import multiprocessing  # loads pickle and socket: only a pool needs them
+
     processes = min(jobs, len(units))
     with multiprocessing.Pool(
         processes=processes,

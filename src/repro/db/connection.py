@@ -102,7 +102,7 @@ class Connection:
             scanned = total_scanned(explain)
         else:
             scanned = self._estimate_scanned_rows(query)
-        transferred_bytes = sum(row_size_bytes(row) for row in rows)
+        transferred_bytes = sum(map(row_size_bytes, rows))
 
         self.stats.queries_executed += 1
         self.stats.round_trips += 1
@@ -136,7 +136,7 @@ class Connection:
         self.database.create_table(name, columns or ["val"])
         self.database.insert_many(name, rows)
 
-        shipped = sum(row_size_bytes(row) for row in rows)
+        shipped = sum(map(row_size_bytes, rows))
         self.stats.round_trips += 1
         self.stats.queries_executed += 1
         self.stats.bytes_transferred += shipped

@@ -115,9 +115,11 @@ def value_size_bytes(value: Any) -> int:
 
 def row_size_bytes(row: Row) -> int:
     """Estimate the wire size of one row (unqualified columns only)."""
-    return sum(
-        value_size_bytes(value) for name, value in row.items() if "." not in name
-    )
+    size = 0
+    for name, value in row.items():
+        if "." not in name:
+            size += _FIXED_SIZES.get(type(value)) or value_size_bytes(value)
+    return size
 
 
 class _NullsLast:

@@ -14,6 +14,7 @@ paper's D-IR resolves query parameters to program variables.
 
 from __future__ import annotations
 
+import operator
 from typing import Any
 
 from ..db import Connection
@@ -115,75 +116,79 @@ class Interpreter:
         return None
 
     # ------------------------------------------------------------------
-    # Statements
-
-    def _tick(self) -> None:
-        self._steps += 1
-        if self._steps > self._max_steps:
-            raise InterpreterError("step limit exceeded (possible infinite loop)")
+    # Statements and expressions dispatch on ``type(node)`` through the
+    # ``_EXEC``/``_EVAL`` tables.  The step budget charges one step per
+    # statement, per expression and per ``while`` iteration, bumped inline.
 
     def _exec_block(self, block: Block, env: dict[str, Any]) -> None:
         for stmt in block.statements:
             self._exec_stmt(stmt, env)
 
     def _exec_stmt(self, stmt: Stmt, env: dict[str, Any]) -> None:
-        self._tick()
-        if isinstance(stmt, Assign):
-            env[stmt.target] = self._eval(stmt.value, env)
-            return
-        if isinstance(stmt, ExprStmt):
-            self._eval(stmt.expr, env)
-            return
-        if isinstance(stmt, Block):
-            self._exec_block(stmt, env)
-            return
-        if isinstance(stmt, If):
-            if self._truthy(self._eval(stmt.cond, env)):
-                self._exec_block(stmt.then_body, env)
-            elif stmt.else_body is not None:
-                self._exec_block(stmt.else_body, env)
-            return
-        if isinstance(stmt, ForEach):
-            iterable = self._eval(stmt.iterable, env)
-            for item in self._iterate(iterable):
-                env[stmt.var] = item
-                try:
-                    self._exec_block(stmt.body, env)
-                except _BreakSignal:
-                    break
-                except _ContinueSignal:
-                    continue
-            return
-        if isinstance(stmt, While):
-            while self._truthy(self._eval(stmt.cond, env)):
-                self._tick()
-                try:
-                    self._exec_block(stmt.body, env)
-                except _BreakSignal:
-                    break
-                except _ContinueSignal:
-                    continue
-            return
-        if isinstance(stmt, Return):
-            value = None if stmt.value is None else self._eval(stmt.value, env)
-            raise _ReturnSignal(value)
-        if isinstance(stmt, Break):
-            raise _BreakSignal()
-        if isinstance(stmt, Continue):
-            raise _ContinueSignal()
-        if isinstance(stmt, TryCatch):
+        self._steps += 1
+        if self._steps > self._max_steps:
+            raise InterpreterError(_STEP_LIMIT)
+        try:
+            handler = _EXEC[type(stmt)]
+        except KeyError:
+            raise InterpreterError(f"cannot execute {type(stmt).__name__}") from None
+        handler(self, stmt, env)
+
+    def _exec_assign(self, stmt: Assign, env: dict[str, Any]) -> None:
+        env[stmt.target] = self._eval(stmt.value, env)
+
+    def _exec_expr(self, stmt: ExprStmt, env: dict[str, Any]) -> None:
+        self._eval(stmt.expr, env)
+
+    def _exec_if(self, stmt: If, env: dict[str, Any]) -> None:
+        if self._truthy(self._eval(stmt.cond, env)):
+            self._exec_block(stmt.then_body, env)
+        elif stmt.else_body is not None:
+            self._exec_block(stmt.else_body, env)
+
+    def _exec_foreach(self, stmt: ForEach, env: dict[str, Any]) -> None:
+        iterable = self._eval(stmt.iterable, env)
+        for item in self._iterate(iterable):
+            env[stmt.var] = item
             try:
-                self._exec_block(stmt.try_body, env)
-            except InterpreterError:
-                if stmt.catch_body is not None:
-                    self._exec_block(stmt.catch_body, env)
-                else:
-                    raise
-            finally:
-                if stmt.finally_body is not None:
-                    self._exec_block(stmt.finally_body, env)
-            return
-        raise InterpreterError(f"cannot execute {type(stmt).__name__}")
+                self._exec_block(stmt.body, env)
+            except _BreakSignal:
+                break
+            except _ContinueSignal:
+                continue
+
+    def _exec_while(self, stmt: While, env: dict[str, Any]) -> None:
+        while self._truthy(self._eval(stmt.cond, env)):
+            self._steps += 1
+            if self._steps > self._max_steps:
+                raise InterpreterError(_STEP_LIMIT)
+            try:
+                self._exec_block(stmt.body, env)
+            except _BreakSignal:
+                break
+            except _ContinueSignal:
+                continue
+
+    def _exec_return(self, stmt: Return, env: dict[str, Any]) -> None:
+        raise _ReturnSignal(None if stmt.value is None else self._eval(stmt.value, env))
+
+    def _exec_break(self, stmt: Break, env: dict[str, Any]) -> None:
+        raise _BreakSignal()
+
+    def _exec_continue(self, stmt: Continue, env: dict[str, Any]) -> None:
+        raise _ContinueSignal()
+
+    def _exec_try(self, stmt: TryCatch, env: dict[str, Any]) -> None:
+        try:
+            self._exec_block(stmt.try_body, env)
+        except InterpreterError:
+            if stmt.catch_body is not None:
+                self._exec_block(stmt.catch_body, env)
+            else:
+                raise
+        finally:
+            if stmt.finally_body is not None:
+                self._exec_block(stmt.finally_body, env)
 
     @staticmethod
     def _iterate(value: Any):
@@ -197,7 +202,7 @@ class Interpreter:
     def _truthy(value: Any) -> bool:
         if value is None:
             return False
-        if isinstance(value, bool):
+        if type(value) is bool:
             return value
         raise InterpreterError(f"condition evaluated to non-boolean {value!r}")
 
@@ -205,88 +210,65 @@ class Interpreter:
     # Expressions
 
     def _eval(self, expr: Expr, env: dict[str, Any]) -> Any:
-        self._tick()
-        if isinstance(expr, IntLit):
-            return expr.value
-        if isinstance(expr, FloatLit):
-            return expr.value
-        if isinstance(expr, StringLit):
-            return expr.value
-        if isinstance(expr, BoolLit):
-            return expr.value
-        if isinstance(expr, NullLit):
-            return None
-        if isinstance(expr, Name):
-            if expr.ident not in env:
-                raise InterpreterError(f"unbound variable {expr.ident!r}")
+        self._steps += 1
+        if self._steps > self._max_steps:
+            raise InterpreterError(_STEP_LIMIT)
+        try:
+            handler = _EVAL[type(expr)]
+        except KeyError:
+            raise InterpreterError(f"cannot evaluate {type(expr).__name__}") from None
+        return handler(self, expr, env)
+
+    def _eval_literal(self, expr: Expr, env: dict[str, Any]) -> Any:
+        return expr.value
+
+    def _eval_null(self, expr: NullLit, env: dict[str, Any]) -> None:
+        return None
+
+    def _eval_name(self, expr: Name, env: dict[str, Any]) -> Any:
+        try:
             return env[expr.ident]
-        if isinstance(expr, Binary):
-            return self._eval_binary(expr, env)
-        if isinstance(expr, Unary):
-            operand = self._eval(expr.operand, env)
-            if expr.op == "-":
-                return -operand
-            if expr.op == "!":
-                return not operand
-            raise InterpreterError(f"unknown unary operator {expr.op!r}")
-        if isinstance(expr, Ternary):
-            if self._truthy(self._eval(expr.cond, env)):
-                return self._eval(expr.if_true, env)
-            return self._eval(expr.if_false, env)
-        if isinstance(expr, Call):
-            return self._eval_call(expr, env)
-        if isinstance(expr, MethodCall):
-            return self._eval_method(expr, env)
-        if isinstance(expr, FieldAccess):
-            receiver = self._eval(expr.receiver, env)
-            if isinstance(receiver, Entity):
-                return receiver.get(expr.field)
-            raise InterpreterError(
-                f"cannot access field {expr.field!r} on {type(receiver).__name__}"
-            )
-        if isinstance(expr, New):
-            return self._eval_new(expr, env)
-        raise InterpreterError(f"cannot evaluate {type(expr).__name__}")
+        except KeyError:
+            raise InterpreterError(f"unbound variable {expr.ident!r}") from None
+
+    def _eval_unary(self, expr: Unary, env: dict[str, Any]) -> Any:
+        operand = self._eval(expr.operand, env)
+        if expr.op == "-":
+            return -operand
+        if expr.op == "!":
+            return not operand
+        raise InterpreterError(f"unknown unary operator {expr.op!r}")
+
+    def _eval_ternary(self, expr: Ternary, env: dict[str, Any]) -> Any:
+        if self._truthy(self._eval(expr.cond, env)):
+            return self._eval(expr.if_true, env)
+        return self._eval(expr.if_false, env)
+
+    def _eval_field(self, expr: FieldAccess, env: dict[str, Any]) -> Any:
+        receiver = self._eval(expr.receiver, env)
+        if isinstance(receiver, Entity):
+            return receiver.get(expr.field)
+        raise InterpreterError(
+            f"cannot access field {expr.field!r} on {type(receiver).__name__}"
+        )
 
     def _eval_binary(self, expr: Binary, env: dict[str, Any]) -> Any:
-        if expr.op == "&&":
+        op = expr.op
+        if op == "&&":
             return self._truthy(self._eval(expr.left, env)) and self._truthy(
                 self._eval(expr.right, env)
             )
-        if expr.op == "||":
+        if op == "||":
             return self._truthy(self._eval(expr.left, env)) or self._truthy(
                 self._eval(expr.right, env)
             )
         left = self._eval(expr.left, env)
         right = self._eval(expr.right, env)
-        op = expr.op
-        if op == "+":
-            if isinstance(left, str) or isinstance(right, str):
-                return to_display(left) + to_display(right)
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        if op == "/":
-            if isinstance(left, int) and isinstance(right, int):
-                return left // right  # Java integer division
-            return left / right
-        if op == "%":
-            return left % right
-        if op == "==":
-            return left == right
-        if op == "!=":
-            return left != right
-        if op == "<":
-            return left < right
-        if op == ">":
-            return left > right
-        if op == "<=":
-            return left <= right
-        if op == ">=":
-            return left >= right
-        raise InterpreterError(f"unknown binary operator {op!r}")
+        try:
+            apply = _BINARY[op]
+        except KeyError:
+            raise InterpreterError(f"unknown binary operator {op!r}") from None
+        return apply(left, right)
 
     def _eval_call(self, expr: Call, env: dict[str, Any]) -> Any:
         if expr.func in ("executeQuery", "executeQueryCursor"):
@@ -345,22 +327,23 @@ class Interpreter:
     def _eval_method(self, expr: MethodCall, env: dict[str, Any]) -> Any:
         # Static library receivers (Math.max etc.) must not be evaluated as
         # variables.
-        if isinstance(expr.receiver, Name) and expr.receiver.ident not in env:
+        target = expr.receiver
+        if type(target) is Name and target.ident not in env:
             static = self._eval_static_method(expr, env)
             if static is not _NO_STATIC:
                 return static
         if (
-            isinstance(expr.receiver, FieldAccess)
-            and isinstance(expr.receiver.receiver, Name)
-            and expr.receiver.receiver.ident == "System"
+            type(target) is FieldAccess
+            and type(target.receiver) is Name
+            and target.receiver.ident == "System"
         ):
             # System.out.println(...)
             rendered = "".join(to_display(self._eval(a, env)) for a in expr.args)
             self.output.append(rendered)
             return None
         receiver = self._eval(expr.receiver, env)
-        args = [self._eval(a, env) for a in expr.args]
-        return self._dispatch_method(receiver, expr.method, args)
+        args = [self._eval(a, env) for a in expr.args] if expr.args else []
+        return _RECEIVERS.get(type(receiver), _cannot_call)(receiver, expr.method, args)
 
     def _eval_static_method(self, expr: MethodCall, env: dict[str, Any]) -> Any:
         assert isinstance(expr.receiver, Name)
@@ -392,61 +375,59 @@ class Interpreter:
                 return min(args[0])
         return _NO_STATIC
 
-    def _dispatch_method(self, receiver: Any, method: str, args: list[Any]) -> Any:
-        if isinstance(receiver, (ResultCursor,)):
-            if method == "next":
-                return receiver.next()
-            # Delegate JDBC getters to the current row.
-            return self._dispatch_method(receiver.current, method, args)
-        if isinstance(receiver, Entity):
-            if method in ("getString", "getInt", "getDouble", "getLong", "getBoolean", "getObject"):
-                value = receiver.get(args[0])
-                if method == "getInt" and value is not None:
-                    return int(value)
-                if method == "getDouble" and value is not None:
-                    return float(value)
-                return value
-            column = getter_to_column(method)
-            if column is not None and not args:
-                return receiver.get(column)
-            column = setter_to_column(method)
-            if column is not None and len(args) == 1:
-                receiver.row[column] = args[0]
-                return None
-            raise InterpreterError(f"unknown entity method {method!r}")
-        if isinstance(receiver, list):
-            return self._list_method(receiver, method, args)
-        if isinstance(receiver, set):
-            return self._set_method(receiver, method, args)
-        if isinstance(receiver, dict):
-            return self._map_method(receiver, method, args)
-        if isinstance(receiver, str):
-            return self._string_method(receiver, method, args)
-        if isinstance(receiver, StringBuilder):
-            if method == "append":
-                return receiver.append(args[0])
-            if method == "toString":
-                return receiver.to_string()
-            raise InterpreterError(f"unknown StringBuilder method {method!r}")
-        if isinstance(receiver, tuple):
-            if method in ("getFirst", "getKey", "getCol0"):
-                return receiver[0]
-            if method in ("getSecond", "getValue", "getCol1"):
-                return receiver[1]
-            if method == "get":
-                return receiver[args[0]]
-        if isinstance(receiver, (int, float)):
-            if method in ("intValue", "doubleValue", "longValue"):
-                return receiver
-            if method == "compareTo":
-                return (receiver > args[0]) - (receiver < args[0])
-            if method == "equals":
-                return receiver == args[0]
-        if receiver is None:
-            raise InterpreterError(f"null pointer: cannot call {method!r} on null")
-        raise InterpreterError(
-            f"cannot call {method!r} on {type(receiver).__name__}"
-        )
+    @staticmethod
+    def _cursor_method(receiver: ResultCursor, method: str, args: list[Any]) -> Any:
+        if method == "next":
+            return receiver.next()
+        # Delegate JDBC getters to the current row.
+        row = receiver.current
+        return _RECEIVERS.get(type(row), _cannot_call)(row, method, args)
+
+    @staticmethod
+    def _entity_method(receiver: Entity, method: str, args: list[Any]) -> Any:
+        if method in ("getString", "getInt", "getDouble", "getLong", "getBoolean", "getObject"):
+            value = receiver.get(args[0])
+            if method == "getInt" and value is not None:
+                return int(value)
+            if method == "getDouble" and value is not None:
+                return float(value)
+            return value
+        column = getter_to_column(method)
+        if column is not None and not args:
+            return receiver.get(column)
+        column = setter_to_column(method)
+        if column is not None and len(args) == 1:
+            receiver.row[column] = args[0]
+            return None
+        raise InterpreterError(f"unknown entity method {method!r}")
+
+    @staticmethod
+    def _builder_method(receiver: StringBuilder, method: str, args: list[Any]) -> Any:
+        if method == "append":
+            return receiver.append(args[0])
+        if method == "toString":
+            return receiver.to_string()
+        raise InterpreterError(f"unknown StringBuilder method {method!r}")
+
+    @staticmethod
+    def _tuple_method(receiver: tuple, method: str, args: list[Any]) -> Any:
+        if method in ("getFirst", "getKey", "getCol0"):
+            return receiver[0]
+        if method in ("getSecond", "getValue", "getCol1"):
+            return receiver[1]
+        if method == "get":
+            return receiver[args[0]]
+        return _cannot_call(receiver, method, args)
+
+    @staticmethod
+    def _number_method(receiver: int | float, method: str, args: list[Any]) -> Any:
+        if method in ("intValue", "doubleValue", "longValue"):
+            return receiver
+        if method == "compareTo":
+            return (receiver > args[0]) - (receiver < args[0])
+        if method == "equals":
+            return receiver == args[0]
+        return _cannot_call(receiver, method, args)
 
     @staticmethod
     def _list_method(receiver: list, method: str, args: list[Any]) -> Any:
@@ -561,6 +542,59 @@ class Interpreter:
 
 
 _NO_STATIC = object()
+_STEP_LIMIT = "step limit exceeded (possible infinite loop)"
+
+
+def _cannot_call(receiver: Any, method: str, args: list[Any]) -> Any:
+    if receiver is None:
+        raise InterpreterError(f"null pointer: cannot call {method!r} on null")
+    raise InterpreterError(f"cannot call {method!r} on {type(receiver).__name__}")
+
+
+def _java_add(left: Any, right: Any) -> Any:
+    if isinstance(left, str) or isinstance(right, str):
+        return to_display(left) + to_display(right)
+    return left + right
+
+
+def _java_div(left: Any, right: Any) -> Any:
+    if isinstance(left, int) and isinstance(right, int):
+        return left // right  # Java integer division
+    return left / right
+
+
+# Dispatch tables, keyed on the exact type: no AST node class is subclassed,
+# and ``bool``, the one runtime value that subclasses a receiver kind, is
+# listed so that it reaches the numeric methods as ``int`` does.
+_EVAL = {
+    IntLit: Interpreter._eval_literal, FloatLit: Interpreter._eval_literal,
+    StringLit: Interpreter._eval_literal, BoolLit: Interpreter._eval_literal,
+    NullLit: Interpreter._eval_null, Name: Interpreter._eval_name,
+    Binary: Interpreter._eval_binary, Unary: Interpreter._eval_unary,
+    Ternary: Interpreter._eval_ternary, Call: Interpreter._eval_call,
+    MethodCall: Interpreter._eval_method, FieldAccess: Interpreter._eval_field,
+    New: Interpreter._eval_new,
+}
+_EXEC = {
+    Assign: Interpreter._exec_assign, ExprStmt: Interpreter._exec_expr,
+    Block: Interpreter._exec_block, If: Interpreter._exec_if,
+    ForEach: Interpreter._exec_foreach, While: Interpreter._exec_while,
+    Return: Interpreter._exec_return, Break: Interpreter._exec_break,
+    Continue: Interpreter._exec_continue, TryCatch: Interpreter._exec_try,
+}
+_RECEIVERS = {
+    ResultCursor: Interpreter._cursor_method, Entity: Interpreter._entity_method,
+    list: Interpreter._list_method, set: Interpreter._set_method,
+    dict: Interpreter._map_method, str: Interpreter._string_method,
+    StringBuilder: Interpreter._builder_method, tuple: Interpreter._tuple_method,
+    int: Interpreter._number_method, float: Interpreter._number_method,
+    bool: Interpreter._number_method,
+}
+_BINARY = {
+    "+": _java_add, "-": operator.sub, "*": operator.mul, "/": _java_div,
+    "%": operator.mod, "==": operator.eq, "!=": operator.ne, "<": operator.lt,
+    ">": operator.gt, "<=": operator.le, ">=": operator.ge,
+}
 
 
 def run_program(

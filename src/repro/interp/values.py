@@ -7,6 +7,7 @@ and JDBC-style access (``rs.getString("name")``).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Any
 
 from ..db.types import Row
@@ -50,10 +51,12 @@ def _plain(row: Row) -> dict:
     return {k: v for k, v in row.items() if "." not in k}
 
 
+@lru_cache(maxsize=1024)
 def getter_to_column(method: str) -> str | None:
     """Map a bean getter name to its column: ``getP1`` → ``p1``.
 
-    Returns ``None`` when the method is not a getter.
+    Returns ``None`` when the method is not a getter.  Memoised on the
+    name (the mapping is pure), so each call site resolves at dict speed.
     """
     if method.startswith("get") and len(method) > 3:
         rest = method[3:]
@@ -64,6 +67,7 @@ def getter_to_column(method: str) -> str | None:
     return None
 
 
+@lru_cache(maxsize=1024)
 def setter_to_column(method: str) -> str | None:
     """Map a bean setter name to its column: ``setScore`` → ``score``."""
     if method.startswith("set") and len(method) > 3:

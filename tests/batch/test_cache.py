@@ -35,6 +35,19 @@ class TestCacheKey:
         )
         assert result.stdout.strip() == "False"
 
+    def test_importing_the_package_does_not_load_multiprocessing(self):
+        # multiprocessing pulls in pickle, socket and selectors (~1.2 MB
+        # resident); only a ``jobs > 1`` pool needs it, so it is imported
+        # there.
+        modules = ("multiprocessing", "socket", "selectors", "pickle")
+        probe = f"import sys, repro; print([m for m in {modules!r} if m in sys.modules])"
+        env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+        result = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True,
+            check=True, env=env,
+        )
+        assert result.stdout.strip() == "[]"
+
     def test_source_edit_changes_key(self):
         base = cache_key(SOURCE, "f", _catalog(), ExtractOptions())
         assert cache_key(SOURCE + " ", "f", _catalog(), ExtractOptions()) != base

@@ -124,6 +124,32 @@ class TestSizes:
             assert row_size_bytes(row) == reference(row["a"]) + reference(row["b"])
         assert value_size_bytes(object()) == 16
 
+    class _Label(str):
+        pass
+
+    class _Count(int):
+        pass
+
+    _scalars = st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(),
+        st.floats(allow_nan=False),
+        st.text(),  # non-ASCII included
+        st.text().map(_Label),
+        st.integers().map(_Count),
+    )
+    _values = st.recursive(_scalars, lambda inner: st.lists(inner, max_size=4),
+                           max_leaves=8)
+    _keys = st.sampled_from(["a", "b", "name", "t.a", "u.name", "é"])
+
+    @given(st.dictionaries(_keys, _values, max_size=6))
+    def test_row_size_matches_the_per_value_sum(self, row):
+        """The inlined row loop counts what summing ``value_size_bytes``
+        over the unqualified columns counts."""
+        expected = sum(value_size_bytes(v) for k, v in row.items() if "." not in k)
+        assert row_size_bytes(row) == expected
+
 
 class TestSortKeys:
     def test_nulls_last_ascending(self):

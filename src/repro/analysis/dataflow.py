@@ -28,6 +28,7 @@ from ..lang import (
     TryCatch,
     While,
     walk_expressions,
+    walk_statements,
 )
 from ..interp.values import setter_to_column
 
@@ -352,6 +353,12 @@ def slice_statements(graph: DependenceGraph, variable: str) -> set[int]:
 
 # ----------------------------------------------------------------------
 # Liveness
+#
+# Every transfer below is gen/kill, so a loop body's live-out is the loop's
+# live-out plus the body's upward-exposed reads (its live-in from an empty
+# live-out).  Each loop body is summarised once and walked once, so one
+# pass over a function is linear in its statement count at any nesting
+# depth.
 
 
 def live_before(
@@ -362,78 +369,70 @@ def live_before(
     Returns (live-in of the list, map sid → live-after-that-statement).
     """
     live_after: dict[int, set[str]] = {}
-    live = set(live_out)
-    for stmt in reversed(statements):
-        live = _live_through(stmt, live, live_after)
-    return live, live_after
+    return _live_in(statements, set(live_out), {}, live_after), live_after
 
 
-def _live_through(
-    stmt: Stmt, live: set[str], live_after: dict[int, set[str]]
-) -> set[str]:
-    live_after[stmt.sid] = set(live)
-    if isinstance(stmt, (Assign, ExprStmt, Return)):
-        summary = stmt_def_use(stmt)
-        result = (live - {w for w in summary.writes if not w.startswith("@")}) | set(
-            summary.reads
-        )
-        # Mutating calls keep the receiver live (it is read and written).
-        if isinstance(stmt, ExprStmt):
-            result |= {w for w in summary.writes if not w.startswith("@")} & live
-        return result
-    if isinstance(stmt, Block):
-        inner, _ = live_before(stmt.statements, live)
-        _merge_inner(stmt.statements, live, live_after)
-        return inner
-    if isinstance(stmt, If):
-        then_live, _ = live_before(stmt.then_body.statements, live)
-        _merge_inner(stmt.then_body.statements, live, live_after)
-        if stmt.else_body is not None:
-            else_live, _ = live_before(stmt.else_body.statements, live)
-            _merge_inner(stmt.else_body.statements, live, live_after)
-        else:
-            else_live = set(live)
-        return then_live | else_live | expr_reads(stmt.cond)
-    if isinstance(stmt, (ForEach, While)):
-        # Fixpoint: two passes suffice for structured loops.
-        body_live = set(live)
-        for _ in range(2):
-            inner, _ = live_before(stmt.body.statements, body_live)
-            body_live = body_live | inner
-        _merge_inner(stmt.body.statements, body_live, live_after)
-        result = set(live) | body_live
-        if isinstance(stmt, ForEach):
-            result -= {stmt.var}
-            result |= expr_reads(stmt.iterable)
-        else:
-            result |= expr_reads(stmt.cond)
-        return result
-    if isinstance(stmt, TryCatch):
-        bodies = [stmt.try_body.statements]
-        if stmt.catch_body is not None:
-            bodies.append(stmt.catch_body.statements)
-        if stmt.finally_body is not None:
-            bodies.append(stmt.finally_body.statements)
-        result = set(live)
-        for body in bodies:
-            inner, _ = live_before(body, live)
-            _merge_inner(body, live, live_after)
-            result |= inner
-        return result
-    return set(live)
-
-
-def _merge_inner(
-    statements: list[Stmt], live_out: set[str], live_after: dict[int, set[str]]
-) -> None:
-    _, inner_map = live_before(statements, live_out)
-    for sid, vars_ in inner_map.items():
-        live_after.setdefault(sid, set()).update(vars_)
-
-
-def live_after_loop(func: FunctionDef, loop_stmt: Stmt) -> set[str]:
-    """Variables live immediately after a loop statement within a function."""
+def live_after_loops(func: FunctionDef) -> dict[int, set[str]]:
+    """Variables live immediately after each loop of a function, by loop sid."""
     _, live_after = live_before(func.body.statements, {RET_LOCATION})
     return {
-        v for v in live_after.get(loop_stmt.sid, set()) if not v.startswith("@")
+        stmt.sid: {v for v in live_after[stmt.sid] if not v.startswith("@")}
+        for stmt in walk_statements(func.body)
+        if isinstance(stmt, (ForEach, While))
     }
+
+
+def _live_in(
+    statements: list[Stmt], live: set[str], exposed: dict, live_after: dict | None
+) -> set[str]:
+    """Live-in of a statement list whose live-out is ``live``.
+
+    ``exposed`` holds each summarised loop body's upward-exposed reads, by
+    the loop statement's identity.  With ``live_after`` None the walk only
+    summarises: it records nothing and walks no loop body a second time.
+    """
+    for stmt in reversed(statements):
+        live = _transfer(stmt, live, exposed, live_after)
+    return live
+
+
+def _transfer(
+    stmt: Stmt, live: set[str], exposed: dict, live_after: dict | None
+) -> set[str]:
+    if live_after is not None:
+        live_after[stmt.sid] = set(live)
+    if isinstance(stmt, (Assign, ExprStmt, Return)):
+        summary = stmt_def_use(stmt)
+        killed = {w for w in summary.writes if not w.startswith("@")}
+        result = (live - killed) | summary.reads
+        # Mutating calls keep the receiver live (it is read and written).
+        if isinstance(stmt, ExprStmt):
+            result |= killed & live
+        return result
+    if isinstance(stmt, Block):
+        return _live_in(stmt.statements, live, exposed, live_after)
+    if isinstance(stmt, If):
+        then_live = _live_in(stmt.then_body.statements, live, exposed, live_after)
+        else_live = (
+            _live_in(stmt.else_body.statements, live, exposed, live_after)
+            if stmt.else_body is not None
+            else live
+        )
+        return then_live | else_live | expr_reads(stmt.cond)
+    if isinstance(stmt, (ForEach, While)):
+        key = id(stmt)
+        if key not in exposed:
+            exposed[key] = _live_in(stmt.body.statements, set(), exposed, None)
+        body_live = live | exposed[key]
+        if live_after is not None:
+            _live_in(stmt.body.statements, body_live, exposed, live_after)
+        if isinstance(stmt, ForEach):
+            return (body_live - {stmt.var}) | expr_reads(stmt.iterable)
+        return body_live | expr_reads(stmt.cond)
+    if isinstance(stmt, TryCatch):
+        result = set(live)
+        for body in (stmt.try_body, stmt.catch_body, stmt.finally_body):
+            if body is not None:
+                result |= _live_in(body.statements, live, exposed, live_after)
+        return result
+    return set(live)

@@ -22,7 +22,7 @@ import time
 from dataclasses import dataclass, field
 
 from ..algebra import Catalog
-from ..analysis import live_after_loop
+from ..analysis import live_after_loops
 from ..fir import (
     check_preconditions_ddg,
     loop_to_fold,
@@ -49,7 +49,13 @@ from ..lang import Name, Program
 from ..lint.codes import code_info
 from ..lint.diagnostics import Diagnostic, SourceSpan
 from ..lint.engine import blockers_for, lint_preprocessed, loop_nesting
-from ..rewrite import EmitError, eliminate_dead_code, insert_extractions
+from ..rewrite import (
+    EmitError,
+    eliminate_dead_code,
+    insert_extractions,
+    loop_extractions,
+    loop_statements,
+)
 from ..rules import RuleEngine
 from ..sqlgen import SqlGenError, render_rel
 from .options import ExtractOptions
@@ -313,34 +319,10 @@ def optimize_program(
     program = report.original
     func = program.function(function)
 
-    by_loop: dict[int, list[VariableExtraction]] = {}
-    for extraction in report.variables.values():
-        if extraction.loop_sid >= 0:
-            by_loop.setdefault(extraction.loop_sid, []).append(extraction)
-
-    plan: dict[int, list[tuple[str, ENode]]] = {}
-    loop_stmts = _loop_statements(program, function)
-    for loop_sid, extractions in by_loop.items():
-        loop_stmt = loop_stmts.get(loop_sid)
-        if loop_stmt is None:
-            continue
-        live = live_after_loop(func, loop_stmt)
-        updated = {e.variable for e in extractions}
-        # The printed-output stream is always observable.
-        if OUT_VAR in updated:
-            live = live | {OUT_VAR}
-        needed = live & updated
-        extracted_ok = {
-            e.variable for e in extractions if e.ok and e.node is not None
-        }
-        if needed and needed <= extracted_ok:
-            plan[loop_sid] = [
-                (e.variable, e.node)
-                for e in extractions
-                if e.variable in needed and e.node is not None
-            ]
+    sites = loop_extractions(func, report.variables.values())
+    plan = {sid: site.pairs for sid, site in sites.items() if site.push_down}
     if report.rewrite_plan is not None:
-        plan = _apply_cost_verdict(plan, report.rewrite_plan, func, loop_stmts)
+        plan = _apply_cost_verdict(plan, report.rewrite_plan, func, sites)
 
     rewritten = program
     if plan:
@@ -371,7 +353,7 @@ def optimize_program(
 # ----------------------------------------------------------------------
 
 
-def _apply_cost_verdict(plan: dict, rewrite_plan, func, loop_stmts) -> dict:
+def _apply_cost_verdict(plan: dict, rewrite_plan, func, sites) -> dict:
     """Drop the planned loops whose deciding site costs less as written
     than pushed down.
 
@@ -387,7 +369,7 @@ def _apply_cost_verdict(plan: dict, rewrite_plan, func, loop_stmts) -> dict:
         enclosing = [o for o in plan if o != sid and sid in nesting[o]]
         if enclosing:
             return max(enclosing, key=lambda o: len(nesting[o]))
-        iterable = loop_stmts[sid].iterable
+        iterable = sites[sid].loop.iterable
         return builders.get(iterable.ident) if isinstance(iterable, Name) else None
 
     def decider(sid: int) -> int:
@@ -410,30 +392,17 @@ def _default_targets(program, function, ve, ctx) -> list[str]:
     """Variables updated by cursor loops and observable afterwards."""
     func = program.function(function)
     targets: list[str] = []
-    loop_stmts = _loop_statements(program, function)
+    loop_stmts = loop_statements(func)
+    live = live_after_loops(func)
     for name, node in ve.items():
         if name in (RET_VAR,) or name.startswith("@"):
             continue
         loops = [n for n in walk_enodes(node) if isinstance(n, ELoop) and n.var == name]
-        if not loops:
+        if not loops or loops[0].loop_sid not in loop_stmts:
             continue
-        loop_stmt = loop_stmts.get(loops[0].loop_sid)
-        if loop_stmt is None:
-            continue
-        live = live_after_loop(func, loop_stmt)
-        if name in live or name == OUT_VAR:
+        if name in live[loops[0].loop_sid] or name == OUT_VAR:
             targets.append(name)
     return sorted(targets)
-
-
-def _loop_statements(program, function):
-    from ..lang import ForEach, walk_statements
-
-    return {
-        stmt.sid: stmt
-        for stmt in walk_statements(program.function(function).body)
-        if isinstance(stmt, ForEach)
-    }
 
 
 def _bail_diagnostic(
@@ -477,7 +446,7 @@ def _extract_variable(
 ) -> VariableExtraction:
     nesting = nesting if nesting is not None else {}
     func = program.function(function)
-    loop_stmts = _loop_statements(program, function)
+    loop_stmts = loop_statements(func)
 
     def fail(code, reason, loop_sid, *, status=STATUS_FAILED, extra=None,
              trace=None, node_=None):

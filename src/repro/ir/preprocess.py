@@ -131,16 +131,20 @@ def _apply_precision(
 ) -> None:
     # Folding can expose new dead branches and pruning can expose new
     # constants, so iterate fold+prune to a (small) fixpoint before the
-    # single copy-propagation round.
+    # single copy-propagation round.  A round that changed nothing leaves
+    # its SSA valid for copy propagation; only a capped fixpoint rebuilds.
     for _round in range(4):
         number_statements(func)
-        result = sccp(build_ssa(func, effects))
+        ssa = build_ssa(func, effects)
+        result = sccp(ssa)
         changed = _fold_constants(func, result)
         changed |= _prune_dead_branches(func.body, result)
         if not changed:
             break
-    number_statements(func)
-    _propagate_copies(func, build_ssa(func, effects))
+    else:
+        number_statements(func)
+        ssa = build_ssa(func, effects)
+    _propagate_copies(func, ssa)
 
 
 def _literal_for(value, template: Expr) -> Expr | None:

@@ -16,10 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..analysis import function_effects
 from ..ir import preprocess_program
 from ..lang import ForEach, FunctionDef, Program, parse_program, walk_statements
 from .diagnostics import Diagnostic, Severity
-from .registry import make_context, run_passes
+from .registry import LintContext, run_passes
 
 # Importing the passes module registers every pass.
 from . import passes as _passes  # noqa: F401  (import for side effect)
@@ -41,8 +42,9 @@ def lint_preprocessed(
     ``precision`` must match the flag ``program`` was preprocessed with:
     it additionally enables points-to-verified blocker downgrades.
     """
+    effects = function_effects(program)
     return run_passes(
-        make_context(program, raw_program, function, precision=precision)
+        LintContext(program, raw_program, function, effects, precision=precision)
     )
 
 
@@ -100,11 +102,11 @@ def lint_program(source: str | Program, *, precision: bool = True) -> LintReport
     """Lint every function of a program."""
     raw = _as_program(source)
     preprocessed = preprocess_program(raw, precision=precision)
+    effects = function_effects(preprocessed)
     report = LintReport(functions=[f.name for f in raw.functions])
     for func in raw.functions:
-        report.diagnostics.extend(
-            lint_preprocessed(preprocessed, raw, func.name, precision=precision)
-        )
+        ctx = LintContext(preprocessed, raw, func.name, effects, precision=precision)
+        report.diagnostics.extend(run_passes(ctx))
     report.diagnostics.sort()
     return report
 

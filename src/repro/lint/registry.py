@@ -27,7 +27,6 @@ from ..analysis import (
     EffectSummary,
     PointsToResult,
     analyze_pointsto,
-    function_effects,
 )
 from ..lang import ForEach, FunctionDef, Node, Program, walk_statements
 from .codes import code_info
@@ -126,22 +125,6 @@ def lint_pass(name: str, codes: tuple[str, ...]):
 def registered_passes() -> list[tuple[str, tuple[str, ...], LintPass]]:
     """The registered passes, in registration order."""
     return list(_PASSES)
-
-
-def make_context(
-    program: Program,
-    raw_program: Program,
-    function: str,
-    *,
-    precision: bool = True,
-) -> LintContext:
-    return LintContext(
-        program=program,
-        raw_program=raw_program,
-        function=function,
-        effects=function_effects(program),
-        precision=precision,
-    )
 
 
 def run_passes(ctx: LintContext) -> list[Diagnostic]:

@@ -2,7 +2,12 @@
 
 from .consolidate import Consolidation, consolidate_loops
 from .emit import EmitError, Emitter
-from .rewriter import eliminate_dead_code, insert_extractions
+from .rewriter import (
+    eliminate_dead_code,
+    insert_extractions,
+    loop_extractions,
+    loop_statements,
+)
 
 __all__ = [
     "Consolidation",
@@ -11,4 +16,6 @@ __all__ = [
     "consolidate_loops",
     "eliminate_dead_code",
     "insert_extractions",
+    "loop_extractions",
+    "loop_statements",
 ]

@@ -6,10 +6,13 @@ then removes the parts of the original program the extraction made
 redundant — typically the whole loop.  Partial extraction falls out
 naturally: when some variable in the loop could not be extracted, the loop
 survives with only the statements that variable needs (paper Section 5.3's
-heuristic decides whether that is worthwhile; see :mod:`repro.core`).
+heuristic decides whether that is worthwhile; :func:`loop_extractions`
+applies it).
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 from ..analysis import (
     DB_LOCATION,
@@ -17,6 +20,7 @@ from ..analysis import (
     RET_LOCATION,
     expr_reads,
     expr_writes,
+    live_after_loops,
     stmt_def_use,
 )
 from ..ir.preprocess import OUT_VAR
@@ -27,6 +31,7 @@ from ..lang import (
     Call,
     ExprStmt,
     ForEach,
+    FunctionDef,
     If,
     Program,
     Return,
@@ -37,8 +42,62 @@ from ..lang import (
     clone_statements,
     number_statements,
     walk_expressions,
+    walk_statements,
 )
 from .emit import Emitter
+
+
+# ----------------------------------------------------------------------
+# The Section 5.3 heuristic
+
+
+def loop_statements(func: FunctionDef) -> dict[int, ForEach]:
+    """The cursor loops of a function, by statement id."""
+    return {
+        stmt.sid: stmt
+        for stmt in walk_statements(func.body)
+        if isinstance(stmt, ForEach)
+    }
+
+
+@dataclass
+class LoopExtractions:
+    """One cursor loop's variable extractions under the Section 5.3 rule."""
+
+    loop: ForEach
+    #: The loop's ``repro.core.VariableExtraction`` records.
+    extractions: list
+    #: (variable, F-IR node) for each variable live after the loop that
+    #: extracted: what a push-down or partial rewrite inserts.
+    pairs: list[tuple[str, ENode]]
+    #: Every variable the loop updates that is live after it extracted.
+    push_down: bool
+
+
+def loop_extractions(func: FunctionDef, extractions) -> dict[int, LoopExtractions]:
+    """Group variable extractions by their cursor loop in ``func`` and apply
+    the paper's Section 5.3 heuristic to each loop.  Loops not found in
+    ``func`` are left out; the map follows the order loops first appear in."""
+    loops = loop_statements(func)
+    live = live_after_loops(func)
+    by_loop: dict[int, list] = {}
+    for extraction in extractions:
+        if extraction.loop_sid in loops:
+            by_loop.setdefault(extraction.loop_sid, []).append(extraction)
+    result = {}
+    for sid, group in by_loop.items():
+        # The printed-output stream is always observable.
+        needed = {e.variable for e in group} & (live[sid] | {OUT_VAR})
+        extracted = [
+            e for e in group if e.variable in needed and e.ok and e.node is not None
+        ]
+        result[sid] = LoopExtractions(
+            loop=loops[sid],
+            extractions=group,
+            pairs=[(e.variable, e.node) for e in extracted],
+            push_down=bool(needed) and needed <= {e.variable for e in extracted},
+        )
+    return result
 
 
 def insert_extractions(

@@ -32,8 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..algebra import BinOp, Catalog, Col, Param, Project, RelExpr, Select, Table
-from ..analysis import live_after_loop
-from ..ir import EExists, EQuery, EScalarQuery, OUT_VAR, walk_enodes
+from ..ir import EExists, EQuery, EScalarQuery, walk_enodes
 from ..lang import (
     Assign,
     Block,
@@ -55,7 +54,12 @@ from ..lang import (
     walk_expressions,
     walk_statements,
 )
-from ..rewrite import EmitError, eliminate_dead_code, insert_extractions
+from ..rewrite import (
+    EmitError,
+    eliminate_dead_code,
+    insert_extractions,
+    loop_extractions,
+)
 from ..sqlparse import SqlParseError, parse_query
 
 KIND_AS_WRITTEN = "as-written"
@@ -145,23 +149,11 @@ def generate_alternatives(report, catalog: Catalog, dialect: str = "repro") -> l
     """
     program = report.original
     func = program.function(report.function)
-    loop_stmts = {
-        stmt.sid: stmt
-        for stmt in walk_statements(func.body)
-        if isinstance(stmt, ForEach)
-    }
-
-    by_loop: dict[int, list] = {}
-    for extraction in report.variables.values():
-        if extraction.loop_sid >= 0:
-            by_loop.setdefault(extraction.loop_sid, []).append(extraction)
+    loops = loop_extractions(func, report.variables.values())
 
     sites: list[Site] = []
-    for loop_sid in sorted(by_loop):
-        extractions = by_loop[loop_sid]
-        loop_stmt = loop_stmts.get(loop_sid)
-        if loop_stmt is None:
-            continue
+    for loop_sid, loop in sorted(loops.items()):
+        loop_stmt = loop.loop
 
         outer_name = _outer_iterable_name(loop_stmt)
         outer_rel = _outer_rel(func, loop_stmt, outer_name)
@@ -170,7 +162,7 @@ def generate_alternatives(report, catalog: Catalog, dialect: str = "repro") -> l
         site = Site(
             function=report.function,
             loop_sid=loop_sid,
-            variables=sorted(e.variable for e in extractions),
+            variables=sorted(e.variable for e in loop.extractions),
             outer_rel=outer_rel,
             inner_lookups=lookups,
             residual_inner_queries=residual,
@@ -184,38 +176,18 @@ def generate_alternatives(report, catalog: Catalog, dialect: str = "repro") -> l
             )
         )
 
-        # Section 5.3 liveness accounting, per site (mirrors optimize_program).
-        live = live_after_loop(func, loop_stmt)
-        updated = {e.variable for e in extractions}
-        if OUT_VAR in updated:
-            live = live | {OUT_VAR}
-        needed = live & updated
-        extracted_ok = {
-            e.variable for e in extractions if e.ok and e.node is not None
-        }
-
-        if needed and needed <= extracted_ok:
-            pairs = [
-                (e.variable, e.node)
-                for e in extractions
-                if e.variable in needed and e.node is not None
-            ]
+        if loop.push_down:
             alt = _extraction_alternative(
-                program, report.function, loop_sid, pairs, dialect,
+                program, report.function, loop_sid, loop.pairs, dialect,
                 kind=KIND_PUSHDOWN,
                 description="replace the loop with its extracted SQL "
                 "(full push-down, Section 5.2)",
             )
             if alt is not None:
                 site.alternatives.append(alt)
-        elif needed & extracted_ok:
-            pairs = [
-                (e.variable, e.node)
-                for e in extractions
-                if e.variable in (needed & extracted_ok) and e.node is not None
-            ]
+        elif loop.pairs:
             alt = _extraction_alternative(
-                program, report.function, loop_sid, pairs, dialect,
+                program, report.function, loop_sid, loop.pairs, dialect,
                 kind=KIND_HYBRID,
                 description="push down the extractable variables, keep a "
                 "residual loop for the rest (partial extraction)",

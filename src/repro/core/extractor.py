@@ -22,7 +22,6 @@ import time
 from dataclasses import dataclass, field
 
 from ..algebra import Catalog
-from ..analysis import live_after_loops
 from ..fir import (
     check_preconditions_ddg,
     loop_to_fold,
@@ -51,10 +50,10 @@ from ..lint.diagnostics import Diagnostic, SourceSpan
 from ..lint.engine import blockers_for, lint_preprocessed, loop_nesting
 from ..rewrite import (
     EmitError,
+    LoopMaps,
     eliminate_dead_code,
     insert_extractions,
     loop_extractions,
-    loop_statements,
 )
 from ..rules import RuleEngine
 from ..sqlgen import SqlGenError, render_rel
@@ -120,6 +119,9 @@ class ExtractionReport:
     #: Name of the language frontend that parsed the source (see
     #: :mod:`repro.frontends`); rewritten programs render back through it.
     frontend: str = "minijava"
+    #: The preprocessed function's loops and liveness, built once per run
+    #: and shared by every consumer (see :class:`~repro.rewrite.LoopMaps`).
+    loop_maps: LoopMaps | None = None
     #: Cost-based rewrite selection over the alternative space (a
     #: :class:`~repro.rewrites.RewritePlan`), when a profile was given.
     rewrite_plan = None
@@ -230,9 +232,10 @@ def extract_sql(
     )
     program = preprocess_program(raw_program, precision=options.precision)
     ve, ctx = build_dir(program, function)
+    maps = LoopMaps.of(program.function(function))
 
     if targets is None:
-        targets = _default_targets(program, function, ve, ctx)
+        targets = _default_targets(ve, maps)
 
     # Soundness gate: run the lint passes once; EQ1xx findings forbid
     # extraction from the loops (or variables) they cover.  With precision
@@ -254,7 +257,7 @@ def extract_sql(
     for target in targets:
         variables[target] = _extract_variable(
             target, ve, ctx, engine, program, function, options.dialect,
-            allow_temp_tables=options.allow_temp_tables,
+            maps.loops, allow_temp_tables=options.allow_temp_tables,
             lint_diags=lint_diags, nesting=nesting,
         )
 
@@ -264,6 +267,7 @@ def extract_sql(
         original=program,
         diagnostics=lint_diags,
         frontend=options.frontend,
+        loop_maps=maps,
     )
     if options.profile is not None:
         _attach_rewrite_plan(report, catalog, options)
@@ -319,7 +323,7 @@ def optimize_program(
     program = report.original
     func = program.function(function)
 
-    sites = loop_extractions(func, report.variables.values())
+    sites = loop_extractions(report.loop_maps, report.variables.values())
     plan = {sid: site.pairs for sid, site in sites.items() if site.push_down}
     if report.rewrite_plan is not None:
         plan = _apply_cost_verdict(plan, report.rewrite_plan, func, sites)
@@ -388,12 +392,10 @@ def _apply_cost_verdict(plan: dict, rewrite_plan, func, sites) -> dict:
     }
 
 
-def _default_targets(program, function, ve, ctx) -> list[str]:
+def _default_targets(ve, maps: LoopMaps) -> list[str]:
     """Variables updated by cursor loops and observable afterwards."""
-    func = program.function(function)
     targets: list[str] = []
-    loop_stmts = loop_statements(func)
-    live = live_after_loops(func)
+    loop_stmts, live = maps.loops, maps.live
     for name, node in ve.items():
         if name in (RET_VAR,) or name.startswith("@"):
             continue
@@ -441,12 +443,11 @@ def _span_for(target, loop_sid, loop_stmts, func) -> SourceSpan:
 
 
 def _extract_variable(
-    target, ve, ctx, engine, program, function, dialect, allow_temp_tables=False,
-    lint_diags=(), nesting=None,
+    target, ve, ctx, engine, program, function, dialect, loop_stmts,
+    allow_temp_tables=False, lint_diags=(), nesting=None,
 ) -> VariableExtraction:
     nesting = nesting if nesting is not None else {}
     func = program.function(function)
-    loop_stmts = loop_statements(func)
 
     def fail(code, reason, loop_sid, *, status=STATUS_FAILED, extra=None,
              trace=None, node_=None):

@@ -147,15 +147,24 @@ class Database:
         self._clear_plans()
 
     def insert(self, name: str, row: Row) -> None:
-        """Insert one row (missing columns become NULL)."""
-        table = self.catalog.get(name)
-        stored = {col: row.get(col) for col in table.column_names()}
-        self._tables[name.lower()].append(stored)
-        self._invalidate(name)
+        """Insert one row: a batch of one (see :meth:`insert_many`)."""
+        self.insert_many(name, [row])
 
     def insert_many(self, name: str, rows: list[Row]) -> None:
-        for row in rows:
-            self.insert(name, row)
+        """Append ``rows`` as one write batch, the only write path.
+
+        Each stored row has the catalog's columns in catalog order: missing
+        columns become NULL and unknown keys are dropped.  The batch is
+        all-or-nothing: every stored row is built before the table is
+        touched, so a malformed row leaves the table as it was.  A batch
+        costs one invalidation; an empty one costs none and keeps the
+        cached plans.
+        """
+        names = self.catalog.get(name).column_names()
+        stored = [{col: row.get(col) for col in names} for row in rows]
+        if stored:
+            self._tables[name.lower()].extend(stored)
+            self._invalidate(name)
 
     def rows(self, name: str) -> list[Row]:
         """Return the raw rows of a base table (shared, do not mutate)."""
@@ -226,8 +235,10 @@ class Database:
 
     def _invalidate(self, name: str) -> None:
         """Mark every index of ``name`` dirty (rebuilt on next lookup) and
-        drop the table's cached column arrays and statistics.  The epoch
-        bump retires every cached plan chosen under the old statistics."""
+        drop the table's cached column arrays and statistics, once per write
+        batch.  Cached arrays are dropped, never changed in place, so whoever
+        still holds them reads its own epoch's data.  The epoch bump retires
+        every cached plan chosen under the old statistics."""
         lowered = name.lower()
         for key in self._indexes:
             if key[0] == lowered:
@@ -265,62 +276,41 @@ class Database:
         """Return the :class:`~repro.db.stats.TableStats` for a base table.
 
         With ``sample=None`` (the default) the cached statistics are
-        returned, built lazily under the automatic policy: an exact full
-        pass up to :data:`~repro.db.stats.STATS_EXACT_MAX` rows, and a
-        reservoir-style sample of :data:`~repro.db.stats.STATS_SAMPLE_SIZE`
-        rows above it (scaled NDV/NULL estimates, sample histograms).  Kept
-        fresh by ``_invalidate``: any insert/clear/create_table drops the
-        cached object and the next call rebuilds it from the current rows.
+        returned, made under the automatic policy: exact up to
+        :data:`~repro.db.stats.STATS_EXACT_MAX` rows, and a reservoir-style
+        sample of :data:`~repro.db.stats.STATS_SAMPLE_SIZE` rows above it
+        (scaled NDV/NULL estimates, sample histograms).  ``row_count`` is
+        exact either way, and each column's statistics are built on its
+        first read, so the planner pays only for the columns it costs
+        against.
+        ``_invalidate`` (one per write batch, clear or create_table) drops
+        the cached object; the next call makes a new one from the current
+        rows.  An object taken before a write keeps answering for the rows
+        it was taken from.
 
         An explicit ``sample`` bypasses both the cache and the policy and
-        builds fresh statistics: ``sample=0`` forces an exact full pass;
+        builds every column now: ``sample=0`` forces an exact full pass;
         ``sample=k`` draws ``k`` rows (``k >= row count`` degrades to the
         exact build).  Explicit builds are never cached.
         """
         lowered = name.lower()
+        if sample is None and lowered in self._table_stats:
+            return self._table_stats[lowered]
         if lowered not in self._tables:
             raise EngineError(f"unknown table {name!r}")
-        from .stats import (
-            STATS_EXACT_MAX,
-            STATS_SAMPLE_SIZE,
-            build_sampled_table_stats,
-            build_table_stats,
-        )
+        from .stats import STATS_EXACT_MAX, STATS_SAMPLE_SIZE
+        from .stats import build_sampled_table_stats as build
 
-        if sample is not None:
-            rows = self._tables[lowered]
-            if sample <= 0:
-                return build_table_stats(lowered, self._exact_columns(name))
-            return build_sampled_table_stats(
-                lowered, rows, self._column_names(name, rows), sample
-            )
-
-        cached = self._table_stats.get(lowered)
-        if cached is not None:
-            return cached
         rows = self._tables[lowered]
-        if len(rows) > STATS_EXACT_MAX:
-            stats = build_sampled_table_stats(
-                lowered, rows, self._column_names(name, rows), STATS_SAMPLE_SIZE
-            )
-        else:
-            stats = build_table_stats(lowered, self.columns(name))
-        self._table_stats[lowered] = stats
+        table = self.catalog.tables.get(lowered)
+        names = table.column_names() if table is not None else None
+        if sample is not None:
+            stats = build(lowered, rows, names, sample)
+            list(stats.columns.values())  # build every column now
+            return stats
+        auto = STATS_SAMPLE_SIZE if len(rows) > STATS_EXACT_MAX else 0
+        stats = self._table_stats[lowered] = build(lowered, rows, names, auto)
         return stats
-
-    def _column_names(self, name: str, rows: list[Row]) -> list[str] | None:
-        if name in self.catalog:
-            return self.catalog.get(name).column_names()
-        return None
-
-    def _exact_columns(self, name: str) -> dict[str, list]:
-        """Column arrays for an exact statistics build, bypassing the cache
-        so an explicit ``stats(sample=0)`` measures a genuine full pass."""
-        rows = self.rows(name)
-        names = self._column_names(name, rows) or sorted(
-            {c for row in rows for c in row}
-        )
-        return {column: [row.get(column) for row in rows] for column in names}
 
     @property
     def columnar_mode(self) -> str:

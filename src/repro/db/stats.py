@@ -8,10 +8,13 @@ the vectorized scan is offered for tables of any size, empty included):
 
 * :class:`TableStats` — row count plus per-column :class:`ColumnStats`
   (non-NULL count, NULL count, number of distinct values, min/max, and an
-  equi-width :class:`Histogram` for all-numeric columns).  Statistics are
-  collected lazily from the cached column arrays on first use and kept
-  fresh by the same dirty-marking machinery that invalidates hash indexes
-  (``Database._invalidate`` on insert/clear/create_table).
+  equi-width :class:`Histogram` for all-numeric columns).  A table's
+  statistics object is made on the first ``Database.stats`` call of an
+  epoch and builds each column's entry when the estimator first reads it,
+  so a column nobody costs against is never summarised.  It holds the
+  data of its own epoch (see :func:`build_sampled_table_stats`), and the
+  next write batch retires it with the hash indexes
+  (``Database._invalidate``, once per batch, clear or create_table).
 * :class:`CardinalityEstimator` — textbook selectivity arithmetic over
   those statistics: ``1/NDV`` for equality, histogram fractions for range
   predicates, independence for AND, inclusion–exclusion for OR, and
@@ -131,11 +134,41 @@ class ColumnStats:
         }
 
 
+class _LazyColumns(Mapping):
+    """Column name → :class:`ColumnStats`, each built on its first read.
+
+    Iteration and ``len`` list every column without building any; ``[]``,
+    ``get``, ``values`` and ``items`` build (and keep) what they touch.
+    """
+
+    def __init__(self, names, build):
+        self._build = build
+        self._built: dict[str, ColumnStats | None] = dict.fromkeys(names)
+
+    def __getitem__(self, name: str) -> ColumnStats:
+        stats = self._built[name]
+        if stats is None:
+            stats = self._built[name] = self._build(name)
+        return stats
+
+    def __contains__(self, name) -> bool:
+        return name in self._built
+
+    def __iter__(self):
+        return iter(self._built)
+
+    def __len__(self) -> int:
+        return len(self._built)
+
+
 @dataclass(frozen=True)
 class TableStats:
     """Row count plus per-column statistics for one base table.
 
-    ``sampled`` marks statistics built from a reservoir-style sample rather
+    ``columns`` builds a column's :class:`ColumnStats` the first time it is
+    read (``column()``/``[]``), from data the object holds itself, so a
+    snapshot keeps answering for the rows it was taken from after later
+    writes.  ``sampled`` marks statistics built from a random sample rather
     than a full pass; ``sample_size`` records how many rows were drawn.
     Sampled NDV, NULL counts, and histograms are scaled estimates.
     """
@@ -174,46 +207,9 @@ def _build_histogram(values: list, lo: float, hi: float) -> Histogram:
 
 
 def _column_stats(name: str, values: list) -> ColumnStats:
-    non_null = [v for v in values if v is not None]
-    null_count = len(values) - len(non_null)
-    try:
-        ndv = len(set(non_null))
-    except TypeError:  # unhashable values: distinct-by-repr approximation
-        ndv = len({repr(v) for v in non_null})
-    min_value = max_value = None
-    if non_null:
-        try:
-            min_value = min(non_null)
-            max_value = max(non_null)
-        except TypeError:  # mixed incomparable types: no order statistics
-            min_value = max_value = None
-    histogram = None
-    if (
-        min_value is not None
-        and all(
-            isinstance(v, (int, float)) and not isinstance(v, bool)
-            for v in non_null
-        )
-    ):
-        histogram = _build_histogram(non_null, float(min_value), float(max_value))
-    return ColumnStats(
-        name=name,
-        row_count=len(values),
-        null_count=null_count,
-        ndv=ndv,
-        min_value=min_value,
-        max_value=max_value,
-        histogram=histogram,
-    )
-
-
-def build_table_stats(
-    table: str, columns: Mapping[str, list]
-) -> TableStats:
-    """Collect statistics from a table's column arrays (one full pass)."""
-    stats = {name: _column_stats(name, values) for name, values in columns.items()}
-    row_count = len(next(iter(columns.values()))) if columns else 0
-    return TableStats(table=table.lower(), row_count=row_count, columns=stats)
+    """Exact statistics of one column: a "sample" of every row, which
+    :func:`estimate_ndv` and the NULL scaling return unchanged."""
+    return _sampled_column_stats(name, values, len(values), len(values))
 
 
 def estimate_ndv(sample_distinct: int, sample_size: int, population: int) -> int:
@@ -303,38 +299,44 @@ def build_sampled_table_stats(
     column_names: list[str] | None,
     sample_size: int = STATS_SAMPLE_SIZE,
 ) -> TableStats:
-    """Collect statistics from a uniform random sample of ``rows``.
+    """Statistics over ``rows``, each column's built on its first read.
 
-    Reads the row dicts directly (no column transposition) so the build
-    cost is O(sample), not O(table).  The sample is drawn with a
-    deterministic seed derived from the table name and row count — not
-    Python's randomized ``hash()`` — so repeated builds over unchanged data
-    produce identical statistics (and identical plans) across processes.
-    Drawing ``sample_size`` distinct indices upfront is equivalent to
-    reservoir sampling for a known population size, without the O(n) RNG
-    draws Algorithm R would pay.
+    The one builder for both policies.  With ``sample_size <= 0``, or a
+    table no larger than the sample, a column's build is an exact pass
+    over every row.  Otherwise it reads a uniform random sample of
+    ``sample_size`` rows, so a column costs O(sample), not O(table).  The
+    sample is drawn with a deterministic seed derived from the table name
+    and row count — not Python's randomized ``hash()`` — so repeated
+    builds over unchanged data produce identical statistics (and identical
+    plans) across processes.  Drawing ``sample_size`` distinct indices
+    upfront is equivalent to reservoir sampling for a known population
+    size, without the O(n) RNG draws Algorithm R would pay.
+
+    ``row_count`` is ``len(rows)``; no column is transposed up front.  The
+    result keeps its own list of the row dicts it reads (all of them, or
+    the sample), never ``rows`` itself: a write batch extends ``rows`` in
+    place but never changes a stored row, so a column first read after a
+    write still describes the rows this build was made from.
     """
+    table = table.lower()
     n = len(rows)
-    if sample_size <= 0 or n <= sample_size:
-        names = column_names or sorted({c for row in rows for c in row})
-        columns = {c: [row.get(c) for row in rows] for c in names}
-        return build_table_stats(table, columns)
-    seed = zlib.crc32(table.lower().encode("utf-8")) ^ n
-    indices = sorted(random.Random(seed).sample(range(n), sample_size))
-    sampled = [rows[i] for i in indices]
-    names = column_names or sorted({c for row in sampled for c in row})
-    stats = {
-        name: _sampled_column_stats(
-            name, [row.get(name) for row in sampled], n, sample_size
-        )
-        for name in names
-    }
+    sampled = 0 < sample_size < n
+    if sampled:
+        seed = zlib.crc32(table.encode("utf-8")) ^ n
+        indices = sorted(random.Random(seed).sample(range(n), sample_size))
+        picked = [rows[i] for i in indices]
+    else:
+        picked = list(rows)
+    names = column_names or sorted({c for row in picked for c in row})
+
+    def build(name: str) -> ColumnStats:
+        values = [row.get(name) for row in picked]
+        if sampled:
+            return _sampled_column_stats(name, values, n, sample_size)
+        return _column_stats(name, values)
+
     return TableStats(
-        table=table.lower(),
-        row_count=n,
-        columns=stats,
-        sampled=True,
-        sample_size=sample_size,
+        table, n, _LazyColumns(names, build), sampled, sample_size if sampled else None
     )
 
 

@@ -3,19 +3,19 @@
 from .consolidate import Consolidation, consolidate_loops
 from .emit import EmitError, Emitter
 from .rewriter import (
+    LoopMaps,
     eliminate_dead_code,
     insert_extractions,
     loop_extractions,
-    loop_statements,
 )
 
 __all__ = [
     "Consolidation",
     "EmitError",
     "Emitter",
+    "LoopMaps",
     "consolidate_loops",
     "eliminate_dead_code",
     "insert_extractions",
     "loop_extractions",
-    "loop_statements",
 ]

@@ -51,13 +51,24 @@ from .emit import Emitter
 # The Section 5.3 heuristic
 
 
-def loop_statements(func: FunctionDef) -> dict[int, ForEach]:
-    """The cursor loops of a function, by statement id."""
-    return {
-        stmt.sid: stmt
-        for stmt in walk_statements(func.body)
-        if isinstance(stmt, ForEach)
-    }
+@dataclass(frozen=True)
+class LoopMaps:
+    """A function's cursor loops by statement id, and the variables live
+    after each of its loops (one liveness pass).  Built once per op and
+    handed to every consumer: the extractor's targets and bail-out spans,
+    the Section 5.3 rule and the rewrite alternatives."""
+
+    loops: dict[int, ForEach]
+    live: dict[int, set[str]]
+
+    @classmethod
+    def of(cls, func: FunctionDef) -> LoopMaps:
+        loops = {
+            stmt.sid: stmt
+            for stmt in walk_statements(func.body)
+            if isinstance(stmt, ForEach)
+        }
+        return cls(loops, live_after_loops(func))
 
 
 @dataclass
@@ -74,12 +85,12 @@ class LoopExtractions:
     push_down: bool
 
 
-def loop_extractions(func: FunctionDef, extractions) -> dict[int, LoopExtractions]:
-    """Group variable extractions by their cursor loop in ``func`` and apply
-    the paper's Section 5.3 heuristic to each loop.  Loops not found in
-    ``func`` are left out; the map follows the order loops first appear in."""
-    loops = loop_statements(func)
-    live = live_after_loops(func)
+def loop_extractions(maps: LoopMaps, extractions) -> dict[int, LoopExtractions]:
+    """Group variable extractions by their cursor loop in the function
+    ``maps`` describes and apply the paper's Section 5.3 heuristic to each
+    loop.  Loops not found in the function are left out; the map follows
+    the order loops first appear in."""
+    loops, live = maps.loops, maps.live
     by_loop: dict[int, list] = {}
     for extraction in extractions:
         if extraction.loop_sid in loops:

@@ -144,12 +144,13 @@ def generate_alternatives(report, catalog: Catalog, dialect: str = "repro") -> l
     """The full rewrite space for every extraction site of ``report``.
 
     ``report`` is an :class:`~repro.core.ExtractionReport`; the function
-    only relies on its ``original``/``function``/``variables`` fields, so
-    the rewrites layer stays import-independent of :mod:`repro.core`.
+    only relies on its ``original``/``function``/``variables``/``loop_maps``
+    fields, so the rewrites layer stays import-independent of
+    :mod:`repro.core`.
     """
     program = report.original
     func = program.function(report.function)
-    loops = loop_extractions(func, report.variables.values())
+    loops = loop_extractions(report.loop_maps, report.variables.values())
 
     sites: list[Site] = []
     for loop_sid, loop in sorted(loops.items()):

@@ -10,6 +10,9 @@ the hash indexes, the statistics-epoch keying of the plan cache, the
 
 from __future__ import annotations
 
+import random
+import zlib
+
 import pytest
 
 from repro.algebra import (
@@ -33,8 +36,13 @@ from repro.db import (
     Histogram,
     TableStats,
 )
+from repro.core import optimize_program
 from repro.db.stats import (
     HISTOGRAM_BUCKETS,
+    STATS_EXACT_MAX,
+    STATS_SAMPLE_SIZE,
+    _column_stats,
+    _sampled_column_stats,
     build_sampled_table_stats,
     estimate_ndv,
 )
@@ -483,3 +491,89 @@ class TestRewriteCostBridge:
             LOCAL, database=db, estimator=CardinalityEstimator(db)
         )
         assert observed.cardinality(query).rows == pytest.approx(20.0, rel=0.01)
+
+
+def _eager_columns(db: Database, table: str, sample_size: int) -> dict:
+    """Every column's statistics built up front the way the eager builders
+    did: an exact pass over each column, or one seeded sample of rows."""
+    rows = db.rows(table)
+    n = len(rows)
+    names = db.catalog.get(table).column_names()
+    if not sample_size:
+        return {c: _column_stats(c, [r.get(c) for r in rows]).to_dict()
+                for c in names}
+    seed = zlib.crc32(table.encode("utf-8")) ^ n
+    indices = sorted(random.Random(seed).sample(range(n), sample_size))
+    picked = [rows[i] for i in indices]
+    return {
+        c: _sampled_column_stats(
+            c, [r.get(c) for r in picked], n, sample_size
+        ).to_dict()
+        for c in names
+    }
+
+
+class TestLazyColumnStats:
+    def test_lazy_exact_build_equals_the_eager_build(self):
+        db = _make_db(300)
+        db.insert("t", {"id": 300, "grp": None, "val": None, "label": None})
+        data = db.stats("t").to_dict()
+        assert data["row_count"] == 301
+        assert (data["sampled"], data["sample_size"]) == (False, None)
+        assert data["columns"] == _eager_columns(db, "t", 0)
+        assert data == db.stats("t", sample=0).to_dict()
+
+    def test_lazy_sampled_build_equals_the_eager_build(self):
+        db = _wide_db(STATS_EXACT_MAX + 1)
+        data = db.stats("t").to_dict()
+        assert data["sampled"] is True
+        assert data["sample_size"] == STATS_SAMPLE_SIZE
+        assert data["row_count"] == STATS_EXACT_MAX + 1
+        assert data["columns"] == _eager_columns(db, "t", STATS_SAMPLE_SIZE)
+        assert data == db.stats("t", sample=STATS_SAMPLE_SIZE).to_dict()
+
+    def test_refresh_op_builds_only_the_join_key(self, monkeypatch):
+        from repro.db.stats import _column_stats as build
+        from repro.interp import Interpreter
+        from repro.workloads import sample, wilos_catalog, wilos_database
+
+        catalog = wilos_catalog()
+        db = wilos_database(20, seed=1, catalog=catalog)
+        db.create_index("activity", "id")
+        report = optimize_program(sample(11).source, sample(11).function, catalog)
+        batch = [dict(row) for row in db.rows("activity")]
+        built: list[str] = []
+
+        def logged(name, values):
+            built.append(name)
+            return build(name, values)
+
+        monkeypatch.setattr("repro.db.stats._column_stats", logged)
+        for _ in range(2):  # the first op also builds the other tables' columns
+            built.clear()
+            db.clear("activity")
+            db.insert_many("activity", batch)
+            Interpreter(report.rewritten, Connection(db)).run(sample(11).function)
+        assert built == ["id"]
+
+    def test_snapshot_keeps_its_epoch_after_a_write(self):
+        db = _make_db(100)
+        before = db.stats("t")
+        db.insert_many("t", [{"id": 500, "grp": 42, "val": -5.0, "label": "new"}])
+        db.clear("t")
+        db.insert_many("t", [{"id": 1, "grp": 1, "val": 1.0, "label": "x"}])
+        assert before.row_count == 100
+        grp, val = before.column("grp"), before.column("val")
+        assert (grp.ndv, grp.min_value, grp.max_value) == (10, 0, 9)
+        assert (val.ndv, val.min_value, val.max_value) == (100, 0.0, 99.0)
+        assert before.column("label").ndv == 4
+        assert db.stats("t").row_count == 1
+
+    @pytest.mark.parametrize("sample", [0, 50])
+    def test_explicit_build_has_every_column_built(self, sample, monkeypatch):
+        db = _make_db(200)
+        stats = db.stats("t", sample=sample)
+        monkeypatch.setattr("repro.db.stats._column_stats", None)
+        monkeypatch.setattr("repro.db.stats._sampled_column_stats", None)
+        # With both builders gone, every column must already be in hand.
+        assert set(stats.to_dict()["columns"]) == {"id", "grp", "val", "label"}

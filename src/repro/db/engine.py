@@ -177,6 +177,9 @@ class Database:
         return sorted(self._tables)
 
     def clear(self, name: str) -> None:
+        """Empty a table the catalog knows (an unknown name raises the
+        catalog's ``KeyError``, as :meth:`insert_many` does)."""
+        self.catalog.get(name)
         self._tables[name.lower()] = []
         self._invalidate(name)
         self._unindexable = {

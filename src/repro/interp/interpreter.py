@@ -1,60 +1,29 @@
-"""Tree-walking interpreter for MiniJava programs over the DB substrate.
+"""Interpreter for MiniJava programs over the DB substrate.
 
-The interpreter serves two roles in the reproduction:
-
-* *equivalence checking* — the extracted SQL must produce the same value the
-  original imperative code computes (paper Theorem 1); tests run both.
-* *performance experiments* — Experiments 5–8 execute original and rewritten
-  programs against the simulated connection and compare time/transfer.
-
-``executeQuery("...")`` strings may contain named parameters (``:x``) that
-are bound from the program environment at call time, mirroring how the
-paper's D-IR resolves query parameters to program variables.
+It is the semantic oracle of equivalence checking (the extracted SQL must
+give the value the imperative code computes, paper Theorem 1) and the
+runtime of Experiments 5–8.  ``executeQuery("...")`` strings may hold named
+parameters (``:x``), bound from the program environment at call time as the
+paper's D-IR binds them.  A function is compiled into closures on its first
+run; every later run, by any :class:`Interpreter`, reuses them.
 """
 
 from __future__ import annotations
 
 import operator
-from typing import Any
+import weakref
+from functools import partial
+from typing import Any, Callable
 
 from ..db import Connection
 from ..lang import (
-    Assign,
-    Binary,
-    Block,
-    BoolLit,
-    Break,
-    Call,
-    Continue,
-    Expr,
-    ExprStmt,
-    FieldAccess,
-    FloatLit,
-    ForEach,
-    FunctionDef,
-    If,
-    IntLit,
-    MethodCall,
-    Name,
-    New,
-    NullLit,
-    Program,
-    Return,
-    Stmt,
-    StringLit,
-    Ternary,
-    TryCatch,
-    Unary,
-    While,
+    Assign, Binary, Block, BoolLit, Break, Call, Continue, Expr, ExprStmt, FieldAccess,
+    FloatLit, ForEach, FunctionDef, If, IntLit, MethodCall, Name, New, NullLit, Program,
+    Return, Stmt, StringLit, Ternary, TryCatch, Unary, While,
 )
 from ..sqlparse import parse_query, template_params
 from .values import (
-    Entity,
-    ResultCursor,
-    StringBuilder,
-    getter_to_column,
-    setter_to_column,
-    to_display,
+    Entity, ResultCursor, StringBuilder, getter_to_column, setter_to_column, to_display,
 )
 
 
@@ -73,11 +42,6 @@ class _ContinueSignal(Exception):
 class _ReturnSignal(Exception):
     def __init__(self, value: Any):
         self.value = value
-
-
-_COLLECTION_CLASSES = {"ArrayList", "LinkedList", "List", "Vector"}
-_SET_CLASSES = {"HashSet", "TreeSet", "Set", "LinkedHashSet"}
-_MAP_CLASSES = {"HashMap", "TreeMap", "Map", "LinkedHashMap"}
 
 
 class Interpreter:
@@ -103,215 +67,15 @@ class Interpreter:
 
     def _call_function(self, func: FunctionDef, args: list[Any]) -> Any:
         if len(args) != len(func.params):
-            raise InterpreterError(
-                f"{func.name} expects {len(func.params)} args, got {len(args)}"
-            )
+            raise InterpreterError(f"{func.name} expects {len(func.params)} args, got {len(args)}")
         env = dict(zip(func.params, args))
         try:
-            self._exec_block(func.body, env)
+            _compiled(func)(self, env)
         except _ReturnSignal as signal:
             self.last_out = env.get("__out__", self.last_out)
             return signal.value
         self.last_out = env.get("__out__", self.last_out)
         return None
-
-    # ------------------------------------------------------------------
-    # Statements and expressions dispatch on ``type(node)`` through the
-    # ``_EXEC``/``_EVAL`` tables.  The step budget charges one step per
-    # statement, per expression and per ``while`` iteration, bumped inline.
-
-    def _exec_block(self, block: Block, env: dict[str, Any]) -> None:
-        for stmt in block.statements:
-            self._exec_stmt(stmt, env)
-
-    def _exec_stmt(self, stmt: Stmt, env: dict[str, Any]) -> None:
-        self._steps += 1
-        if self._steps > self._max_steps:
-            raise InterpreterError(_STEP_LIMIT)
-        try:
-            handler = _EXEC[type(stmt)]
-        except KeyError:
-            raise InterpreterError(f"cannot execute {type(stmt).__name__}") from None
-        handler(self, stmt, env)
-
-    def _exec_assign(self, stmt: Assign, env: dict[str, Any]) -> None:
-        env[stmt.target] = self._eval(stmt.value, env)
-
-    def _exec_expr(self, stmt: ExprStmt, env: dict[str, Any]) -> None:
-        self._eval(stmt.expr, env)
-
-    def _exec_if(self, stmt: If, env: dict[str, Any]) -> None:
-        if self._truthy(self._eval(stmt.cond, env)):
-            self._exec_block(stmt.then_body, env)
-        elif stmt.else_body is not None:
-            self._exec_block(stmt.else_body, env)
-
-    def _exec_foreach(self, stmt: ForEach, env: dict[str, Any]) -> None:
-        iterable = self._eval(stmt.iterable, env)
-        for item in self._iterate(iterable):
-            env[stmt.var] = item
-            try:
-                self._exec_block(stmt.body, env)
-            except _BreakSignal:
-                break
-            except _ContinueSignal:
-                continue
-
-    def _exec_while(self, stmt: While, env: dict[str, Any]) -> None:
-        while self._truthy(self._eval(stmt.cond, env)):
-            self._steps += 1
-            if self._steps > self._max_steps:
-                raise InterpreterError(_STEP_LIMIT)
-            try:
-                self._exec_block(stmt.body, env)
-            except _BreakSignal:
-                break
-            except _ContinueSignal:
-                continue
-
-    def _exec_return(self, stmt: Return, env: dict[str, Any]) -> None:
-        raise _ReturnSignal(None if stmt.value is None else self._eval(stmt.value, env))
-
-    def _exec_break(self, stmt: Break, env: dict[str, Any]) -> None:
-        raise _BreakSignal()
-
-    def _exec_continue(self, stmt: Continue, env: dict[str, Any]) -> None:
-        raise _ContinueSignal()
-
-    def _exec_try(self, stmt: TryCatch, env: dict[str, Any]) -> None:
-        try:
-            self._exec_block(stmt.try_body, env)
-        except InterpreterError:
-            if stmt.catch_body is not None:
-                self._exec_block(stmt.catch_body, env)
-            else:
-                raise
-        finally:
-            if stmt.finally_body is not None:
-                self._exec_block(stmt.finally_body, env)
-
-    @staticmethod
-    def _iterate(value: Any):
-        if isinstance(value, ResultCursor):
-            return iter(value)
-        if isinstance(value, (list, tuple, set)):
-            return iter(value)
-        raise InterpreterError(f"value of type {type(value).__name__} is not iterable")
-
-    @staticmethod
-    def _truthy(value: Any) -> bool:
-        if value is None:
-            return False
-        if type(value) is bool:
-            return value
-        raise InterpreterError(f"condition evaluated to non-boolean {value!r}")
-
-    # ------------------------------------------------------------------
-    # Expressions
-
-    def _eval(self, expr: Expr, env: dict[str, Any]) -> Any:
-        self._steps += 1
-        if self._steps > self._max_steps:
-            raise InterpreterError(_STEP_LIMIT)
-        try:
-            handler = _EVAL[type(expr)]
-        except KeyError:
-            raise InterpreterError(f"cannot evaluate {type(expr).__name__}") from None
-        return handler(self, expr, env)
-
-    def _eval_literal(self, expr: Expr, env: dict[str, Any]) -> Any:
-        return expr.value
-
-    def _eval_null(self, expr: NullLit, env: dict[str, Any]) -> None:
-        return None
-
-    def _eval_name(self, expr: Name, env: dict[str, Any]) -> Any:
-        try:
-            return env[expr.ident]
-        except KeyError:
-            raise InterpreterError(f"unbound variable {expr.ident!r}") from None
-
-    def _eval_unary(self, expr: Unary, env: dict[str, Any]) -> Any:
-        operand = self._eval(expr.operand, env)
-        if expr.op == "-":
-            return -operand
-        if expr.op == "!":
-            return not operand
-        raise InterpreterError(f"unknown unary operator {expr.op!r}")
-
-    def _eval_ternary(self, expr: Ternary, env: dict[str, Any]) -> Any:
-        if self._truthy(self._eval(expr.cond, env)):
-            return self._eval(expr.if_true, env)
-        return self._eval(expr.if_false, env)
-
-    def _eval_field(self, expr: FieldAccess, env: dict[str, Any]) -> Any:
-        receiver = self._eval(expr.receiver, env)
-        if isinstance(receiver, Entity):
-            return receiver.get(expr.field)
-        raise InterpreterError(
-            f"cannot access field {expr.field!r} on {type(receiver).__name__}"
-        )
-
-    def _eval_binary(self, expr: Binary, env: dict[str, Any]) -> Any:
-        op = expr.op
-        if op == "&&":
-            return self._truthy(self._eval(expr.left, env)) and self._truthy(
-                self._eval(expr.right, env)
-            )
-        if op == "||":
-            return self._truthy(self._eval(expr.left, env)) or self._truthy(
-                self._eval(expr.right, env)
-            )
-        left = self._eval(expr.left, env)
-        right = self._eval(expr.right, env)
-        try:
-            apply = _BINARY[op]
-        except KeyError:
-            raise InterpreterError(f"unknown binary operator {op!r}") from None
-        return apply(left, right)
-
-    def _eval_call(self, expr: Call, env: dict[str, Any]) -> Any:
-        if expr.func in ("executeQuery", "executeQueryCursor"):
-            if len(expr.args) != 1:
-                raise InterpreterError("executeQuery takes exactly one argument")
-            text = self._eval(expr.args[0], env)
-            rows = self._run_query(text, env)
-            if expr.func == "executeQueryCursor":
-                return ResultCursor(rows)
-            return [Entity(row) for row in rows]
-        if expr.func == "executeScalar":
-            text = self._eval(expr.args[0], env)
-            rows = self._run_query(text, env)
-            if not rows:
-                return None
-            first = rows[0]
-            plain = [v for k, v in first.items() if "." not in k]
-            return plain[0] if plain else None
-        if expr.func == "executeExists":
-            text = self._eval(expr.args[0], env)
-            return bool(self._run_query(text, env))
-        if expr.func == "registerTempTable":
-            name = self._eval(expr.args[0], env)
-            collection = self._eval(expr.args[1], env)
-            rows = []
-            for element in collection:
-                if isinstance(element, Entity):
-                    rows.append({k: v for k, v in element.row.items() if "." not in k})
-                else:
-                    rows.append({"val": element})
-            self._connection.ship_temp_table(name, rows)
-            return None
-        if expr.func in ("print", "println"):
-            rendered = "".join(to_display(self._eval(a, env)) for a in expr.args)
-            self.output.append(rendered)
-            return None
-        # User-defined function.
-        try:
-            func = self._program.function(expr.func)
-        except KeyError:
-            raise InterpreterError(f"unknown function {expr.func!r}") from None
-        args = [self._eval(a, env) for a in expr.args]
-        return self._call_function(func, args)
 
     def _run_query(self, text: str, env: dict[str, Any]) -> list[dict]:
         if not isinstance(text, str):
@@ -324,69 +88,25 @@ class Interpreter:
             params[name] = env[name]
         return self._connection.execute_query(query, params)
 
-    def _eval_method(self, expr: MethodCall, env: dict[str, Any]) -> Any:
-        # Static library receivers (Math.max etc.) must not be evaluated as
-        # variables.
-        target = expr.receiver
-        if type(target) is Name and target.ident not in env:
-            static = self._eval_static_method(expr, env)
-            if static is not _NO_STATIC:
-                return static
-        if (
-            type(target) is FieldAccess
-            and type(target.receiver) is Name
-            and target.receiver.ident == "System"
-        ):
-            # System.out.println(...)
-            rendered = "".join(to_display(self._eval(a, env)) for a in expr.args)
-            self.output.append(rendered)
-            return None
-        receiver = self._eval(expr.receiver, env)
-        args = [self._eval(a, env) for a in expr.args] if expr.args else []
-        return _RECEIVERS.get(type(receiver), _cannot_call)(receiver, expr.method, args)
-
-    def _eval_static_method(self, expr: MethodCall, env: dict[str, Any]) -> Any:
-        assert isinstance(expr.receiver, Name)
-        class_name = expr.receiver.ident
-        method = expr.method
-        if class_name == "Math":
-            args = [self._eval(a, env) for a in expr.args]
-            if method == "max":
-                return max(args)
-            if method == "min":
-                return min(args)
-            if method == "abs":
-                return abs(args[0])
-            raise InterpreterError(f"unknown Math method {method!r}")
-        if class_name == "Integer" and method == "parseInt":
-            return int(self._eval(expr.args[0], env))
-        if class_name == "Double" and method == "parseDouble":
-            return float(self._eval(expr.args[0], env))
-        if class_name == "String" and method == "valueOf":
-            return to_display(self._eval(expr.args[0], env))
-        if class_name == "Collections":
-            args = [self._eval(a, env) for a in expr.args]
-            if method == "sort":
-                args[0].sort()
-                return None
-            if method == "max":
-                return max(args[0])
-            if method == "min":
-                return min(args[0])
-        return _NO_STATIC
+    # ------------------------------------------------------------------
+    # Receivers: a method call looks its receiver's exact type up in
+    # ``_RECEIVERS`` when it runs.
 
     @staticmethod
     def _cursor_method(receiver: ResultCursor, method: str, args: list[Any]) -> Any:
         if method == "next":
             return receiver.next()
         # Delegate JDBC getters to the current row.
-        row = receiver.current
+        try:
+            row = receiver.current
+        except RuntimeError as unpositioned:
+            raise InterpreterError(str(unpositioned)) from None
         return _RECEIVERS.get(type(row), _cannot_call)(row, method, args)
 
     @staticmethod
     def _entity_method(receiver: Entity, method: str, args: list[Any]) -> Any:
-        if method in ("getString", "getInt", "getDouble", "getLong", "getBoolean", "getObject"):
-            value = receiver.get(args[0])
+        if method in _JDBC_GETTERS:
+            value = _column(receiver, args[0])
             if method == "getInt" and value is not None:
                 return int(value)
             if method == "getDouble" and value is not None:
@@ -394,7 +114,7 @@ class Interpreter:
             return value
         column = getter_to_column(method)
         if column is not None and not args:
-            return receiver.get(column)
+            return _column(receiver, column)
         column = setter_to_column(method)
         if column is not None and len(args) == 1:
             receiver.row[column] = args[0]
@@ -526,29 +246,36 @@ class Interpreter:
             return not receiver
         raise InterpreterError(f"unknown string method {method!r}")
 
-    def _eval_new(self, expr: New, env: dict[str, Any]) -> Any:
-        args = [self._eval(a, env) for a in expr.args]
-        if expr.class_name in _COLLECTION_CLASSES:
-            return list(args[0]) if args else []
-        if expr.class_name in _SET_CLASSES:
-            return set(args[0]) if args else set()
-        if expr.class_name in _MAP_CLASSES:
-            return {}
-        if expr.class_name == "StringBuilder":
-            return StringBuilder(args[0] if args else "")
-        if expr.class_name in ("Pair", "Tuple"):
-            return tuple(args)
-        raise InterpreterError(f"unknown class {expr.class_name!r}")
 
-
-_NO_STATIC = object()
 _STEP_LIMIT = "step limit exceeded (possible infinite loop)"
+_JDBC_GETTERS = {"getString", "getInt", "getDouble", "getLong", "getBoolean", "getObject"}
 
 
 def _cannot_call(receiver: Any, method: str, args: list[Any]) -> Any:
     if receiver is None:
         raise InterpreterError(f"null pointer: cannot call {method!r} on null")
     raise InterpreterError(f"cannot call {method!r} on {type(receiver).__name__}")
+
+
+def _column(entity: Entity, column: str) -> Any:
+    try:
+        return entity.get(column)
+    except KeyError as missing:
+        raise InterpreterError(missing.args[0]) from None
+
+
+def _truthy(value: Any) -> bool:
+    if value is None:
+        return False
+    if type(value) is bool:
+        return value
+    raise InterpreterError(f"condition evaluated to non-boolean {value!r}")
+
+
+def _iterate(value: Any):
+    if isinstance(value, (ResultCursor, list, tuple, set)):
+        return iter(value)
+    raise InterpreterError(f"value of type {type(value).__name__} is not iterable")
 
 
 def _java_add(left: Any, right: Any) -> Any:
@@ -563,25 +290,21 @@ def _java_div(left: Any, right: Any) -> Any:
     return left / right
 
 
-# Dispatch tables, keyed on the exact type: no AST node class is subclassed,
-# and ``bool``, the one runtime value that subclasses a receiver kind, is
-# listed so that it reaches the numeric methods as ``int`` does.
-_EVAL = {
-    IntLit: Interpreter._eval_literal, FloatLit: Interpreter._eval_literal,
-    StringLit: Interpreter._eval_literal, BoolLit: Interpreter._eval_literal,
-    NullLit: Interpreter._eval_null, Name: Interpreter._eval_name,
-    Binary: Interpreter._eval_binary, Unary: Interpreter._eval_unary,
-    Ternary: Interpreter._eval_ternary, Call: Interpreter._eval_call,
-    MethodCall: Interpreter._eval_method, FieldAccess: Interpreter._eval_field,
-    New: Interpreter._eval_new,
-}
-_EXEC = {
-    Assign: Interpreter._exec_assign, ExprStmt: Interpreter._exec_expr,
-    Block: Interpreter._exec_block, If: Interpreter._exec_if,
-    ForEach: Interpreter._exec_foreach, While: Interpreter._exec_while,
-    Return: Interpreter._exec_return, Break: Interpreter._exec_break,
-    Continue: Interpreter._exec_continue, TryCatch: Interpreter._exec_try,
-}
+def _register_temp_table(interp: Interpreter, env: dict, args: list[Any]) -> None:
+    rows = [
+        {k: v for k, v in e.row.items() if "." not in k} if isinstance(e, Entity) else {"val": e}
+        for e in args[1]
+    ]
+    interp._connection.ship_temp_table(args[0], rows)
+
+
+def _print(interp: Interpreter, env: dict, args: list[Any]) -> None:
+    interp.output.append("".join(map(to_display, args)))
+
+
+# Receiver dispatch is keyed on the exact type: ``bool``, the one runtime
+# value that subclasses a receiver kind, is listed so that it reaches the
+# numeric methods as ``int`` does.
 _RECEIVERS = {
     ResultCursor: Interpreter._cursor_method, Entity: Interpreter._entity_method,
     list: Interpreter._list_method, set: Interpreter._set_method,
@@ -595,12 +318,370 @@ _BINARY = {
     "%": operator.mod, "==": operator.eq, "!=": operator.ne, "<": operator.lt,
     ">": operator.gt, "<=": operator.le, ">=": operator.ge,
 }
+#: What each query call makes of the rows of its one argument's query.
+_QUERIES = {
+    "executeQuery": lambda rows: [Entity(row) for row in rows],
+    "executeQueryCursor": ResultCursor, "executeExists": bool,
+    "executeScalar": lambda rows: next(
+        (v for k, v in rows[0].items() if "." not in k), None) if rows else None,
+}
+#: Constructors by class name, applied to the evaluated arguments.
+_NEW = {
+    **dict.fromkeys(("ArrayList", "LinkedList", "List", "Vector"),
+                    lambda args: list(args[0]) if args else []),
+    **dict.fromkeys(("HashSet", "TreeSet", "Set", "LinkedHashSet"),
+                    lambda args: set(args[0]) if args else set()),
+    **dict.fromkeys(("HashMap", "TreeMap", "Map", "LinkedHashMap"), lambda args: {}),
+    "StringBuilder": lambda args: StringBuilder(args[0] if args else ""),
+    "Pair": tuple, "Tuple": tuple,
+}
+#: Static library calls by (class, method), applied to the evaluated
+#: arguments (``Integer``, ``Double`` and ``String`` evaluate only the first).
+_STATIC = {
+    ("Math", "max"): max, ("Math", "min"): min, ("Math", "abs"): lambda args: abs(args[0]),
+    ("Integer", "parseInt"): lambda args: int(args[0]),
+    ("Double", "parseDouble"): lambda args: float(args[0]),
+    ("String", "valueOf"): lambda args: to_display(args[0]),
+    ("Collections", "sort"): lambda args: args[0].sort(),
+    ("Collections", "max"): lambda args: max(args[0]),
+    ("Collections", "min"): lambda args: min(args[0]),
+}
+
+
+# ----------------------------------------------------------------------
+# Compilation: each node becomes a closure ``(interp, env)`` with its fields,
+# operator, literal value and callee kind read once.  The closures charge
+# the step budget before running any child: a block one step per statement,
+# every expression one step, ``while`` one per iteration.  A node that
+# cannot run (unknown node type, operator or class) raises when it runs.
+
+_Code = Callable[[Interpreter, dict], Any]
+
+#: ``id(func)`` → (weak reference to ``func``, its compiled body): keyed on
+#: identity outside the node, because ``clone_statements`` copies a node's
+#: ``__dict__`` and AST dataclasses are unhashable.  A function edited in
+#: place after its first run keeps its old closures; editors clone first.
+_COMPILED: dict[int, tuple[weakref.ref, _Code]] = {}
+
+
+def _compiled(func: FunctionDef) -> _Code:
+    """``func``'s body, compiled on its first run."""
+    key = id(func)
+    entry = _COMPILED.get(key)
+    if entry is not None and entry[0]() is func:
+        return entry[1]
+    body = _compile_function(func)
+    def forget(ref: weakref.ref, key: int = key) -> None:
+        if _COMPILED.get(key, (None,))[0] is ref:
+            del _COMPILED[key]
+    _COMPILED[key] = (weakref.ref(func, forget), body)
+    return body
+
+
+def _compile_function(func: FunctionDef) -> _Code:
+    """Compile ``func``'s body: the one compile entry point (CI counts it)."""
+    return _block(func.body)
+
+
+def _expr(expr: Expr) -> _Code:
+    compile_ = _COMPILE_EXPR.get(type(expr))
+    if compile_ is None:
+        return _failing(f"cannot evaluate {type(expr).__name__}")
+    return compile_(expr)
+
+
+def _failing(message: str, children: tuple[_Code, ...] = ()) -> _Code:
+    """An expression that charges its step, runs ``children``, then raises."""
+    def fail(interp: Interpreter, env: dict, values: list[Any]) -> Any:
+        raise InterpreterError(message)
+    return _builtin(fail, children)
+
+
+def _block(block: Block) -> _Code:
+    codes = tuple(map(_stmt, block.statements))
+    def run_block(interp: Interpreter, env: dict) -> None:
+        for code in codes:
+            interp._steps += 1
+            if interp._steps > interp._max_steps:
+                raise InterpreterError(_STEP_LIMIT)
+            code(interp, env)
+    return run_block
+
+
+def _stmt(stmt: Stmt) -> _Code:
+    compile_ = _COMPILE_STMT.get(type(stmt))
+    if compile_ is None:
+        return _raiser(partial(InterpreterError, f"cannot execute {type(stmt).__name__}"))
+    return compile_(stmt)
+
+
+def _assign(stmt: Assign) -> _Code:
+    target, value = stmt.target, _expr(stmt.value)
+    def assign(interp: Interpreter, env: dict) -> None:
+        env[target] = value(interp, env)
+    return assign
+
+
+def _if(stmt: If) -> _Code:
+    cond, then = _expr(stmt.cond), _block(stmt.then_body)
+    otherwise = None if stmt.else_body is None else _block(stmt.else_body)
+    def if_(interp: Interpreter, env: dict) -> None:
+        if _truthy(cond(interp, env)):
+            then(interp, env)
+        elif otherwise is not None:
+            otherwise(interp, env)
+    return if_
+
+
+def _foreach(stmt: ForEach) -> _Code:
+    var, iterable, body = stmt.var, _expr(stmt.iterable), _block(stmt.body)
+    def foreach(interp: Interpreter, env: dict) -> None:
+        for item in _iterate(iterable(interp, env)):
+            env[var] = item
+            try:
+                body(interp, env)
+            except _BreakSignal:
+                break
+            except _ContinueSignal:
+                continue
+    return foreach
+
+
+def _while(stmt: While) -> _Code:
+    cond, body = _expr(stmt.cond), _block(stmt.body)
+    def while_(interp: Interpreter, env: dict) -> None:
+        while _truthy(cond(interp, env)):
+            interp._steps += 1
+            if interp._steps > interp._max_steps:
+                raise InterpreterError(_STEP_LIMIT)
+            try:
+                body(interp, env)
+            except _BreakSignal:
+                break
+            except _ContinueSignal:
+                continue
+    return while_
+
+
+def _return(stmt: Return) -> _Code:
+    value = None if stmt.value is None else _expr(stmt.value)
+    def return_(interp: Interpreter, env: dict) -> None:
+        raise _ReturnSignal(None if value is None else value(interp, env))
+    return return_
+
+
+def _raiser(make: Callable[[], Exception]) -> _Code:
+    def raise_(interp: Interpreter, env: dict) -> None:
+        raise make()
+    return raise_
+
+
+def _try(stmt: TryCatch) -> _Code:
+    body = _block(stmt.try_body)
+    handler = None if stmt.catch_body is None else _block(stmt.catch_body)
+    final = None if stmt.finally_body is None else _block(stmt.finally_body)
+    def try_(interp: Interpreter, env: dict) -> None:
+        try:
+            body(interp, env)
+        except InterpreterError:
+            if handler is None:
+                raise
+            handler(interp, env)
+        finally:
+            if final is not None:
+                final(interp, env)
+    return try_
+
+
+def _constant(value: Any) -> _Code:
+    def constant(interp: Interpreter, env: dict) -> Any:
+        interp._steps += 1
+        if interp._steps > interp._max_steps:
+            raise InterpreterError(_STEP_LIMIT)
+        return value
+    return constant
+
+
+def _name(expr: Name) -> _Code:
+    ident = expr.ident
+    def name(interp: Interpreter, env: dict) -> Any:
+        interp._steps += 1
+        if interp._steps > interp._max_steps:
+            raise InterpreterError(_STEP_LIMIT)
+        try:
+            return env[ident]
+        except KeyError:
+            raise InterpreterError(f"unbound variable {ident!r}") from None
+    return name
+
+
+def _unary(expr: Unary) -> _Code:
+    operand, apply = _expr(expr.operand), {"-": operator.neg, "!": operator.not_}.get(expr.op)
+    if apply is None:
+        return _failing(f"unknown unary operator {expr.op!r}", (operand,))
+    return _builtin(lambda interp, env, values: apply(values[0]), (operand,))
+
+
+def _binary(expr: Binary) -> _Code:
+    op, left, right = expr.op, _expr(expr.left), _expr(expr.right)
+    apply = _BINARY.get(op)
+    if op in ("&&", "||"):
+        decided = op == "||"  # the left value that decides the result
+        def logical(interp: Interpreter, env: dict) -> bool:
+            interp._steps += 1
+            if interp._steps > interp._max_steps:
+                raise InterpreterError(_STEP_LIMIT)
+            if _truthy(left(interp, env)) is decided:
+                return decided
+            return _truthy(right(interp, env))
+        return logical
+    if apply is None:
+        return _failing(f"unknown binary operator {op!r}", (left, right))
+    def binary(interp: Interpreter, env: dict) -> Any:
+        interp._steps += 1
+        if interp._steps > interp._max_steps:
+            raise InterpreterError(_STEP_LIMIT)
+        return apply(left(interp, env), right(interp, env))
+    return binary
+
+
+def _ternary(expr: Ternary) -> _Code:
+    cond, if_true, if_false = _expr(expr.cond), _expr(expr.if_true), _expr(expr.if_false)
+    def ternary(interp: Interpreter, env: dict) -> Any:
+        interp._steps += 1
+        if interp._steps > interp._max_steps:
+            raise InterpreterError(_STEP_LIMIT)
+        if _truthy(cond(interp, env)):
+            return if_true(interp, env)
+        return if_false(interp, env)
+    return ternary
+
+
+def _field(expr: FieldAccess) -> _Code:
+    field = expr.field
+    def other(value: Any) -> Any:
+        raise InterpreterError(f"cannot access field {field!r} on {type(value).__name__}")
+    return _column_read(_expr(expr.receiver), field, other)
+
+
+def _column_read(receiver: _Code, column: str, other: Callable[[Any], Any]) -> _Code:
+    """Read ``column`` of an entity receiver; ``other`` takes any other value."""
+    def read(interp: Interpreter, env: dict) -> Any:
+        interp._steps += 1
+        if interp._steps > interp._max_steps:
+            raise InterpreterError(_STEP_LIMIT)
+        value = receiver(interp, env)
+        if type(value) is Entity:
+            row = value.row
+            return row[column] if column in row else _column(value, column)
+        return other(value)
+    return read
+
+
+def _new(expr: New) -> _Code:
+    args, make = tuple(map(_expr, expr.args)), _NEW.get(expr.class_name)
+    if make is None:
+        return _failing(f"unknown class {expr.class_name!r}", args)
+    return _builtin(lambda interp, env, values: make(values), args)
+
+
+def _builtin(apply: Callable[[Interpreter, dict, list], Any], args: tuple[_Code, ...]) -> _Code:
+    """A node that evaluates every argument, then applies ``apply`` to them."""
+    def builtin(interp: Interpreter, env: dict) -> Any:
+        interp._steps += 1
+        if interp._steps > interp._max_steps:
+            raise InterpreterError(_STEP_LIMIT)
+        return apply(interp, env, [a(interp, env) for a in args])
+    return builtin
+
+
+def _call(expr: Call) -> _Code:
+    """A free call, specialised by its name.  A program function is looked
+    up (and compiled on its first run) when the call runs."""
+    func, args = expr.func, tuple(map(_expr, expr.args))
+    shape = _QUERIES.get(func)
+    if func in ("executeQuery", "executeQueryCursor") and len(args) != 1:
+        return _failing("executeQuery takes exactly one argument")
+    if func in ("print", "println"):
+        return _builtin(_print, args)
+    if func == "registerTempTable":
+        return _builtin(_register_temp_table, args[:2])
+    if shape is not None:  # a query runs its first argument's text
+        return _builtin(
+            lambda interp, env, values: shape(interp._run_query(values[0], env)), args[:1]
+        )
+    def call(interp: Interpreter, env: dict) -> Any:
+        interp._steps += 1
+        if interp._steps > interp._max_steps:
+            raise InterpreterError(_STEP_LIMIT)
+        try:
+            function = interp._program.function(func)
+        except KeyError:
+            raise InterpreterError(f"unknown function {func!r}") from None
+        return interp._call_function(function, [a(interp, env) for a in args])
+    return call
+
+
+def _method_call(expr: MethodCall) -> _Code:
+    target, method, args = expr.receiver, expr.method, tuple(map(_expr, expr.args))
+    if type(target) is FieldAccess and getattr(target.receiver, "ident", None) == "System":
+        return _builtin(_print, args)  # System.out.println(...)
+    dynamic = _receiver_call(_expr(target), method, args)
+    ident = target.ident if type(target) is Name else None
+    static = _STATIC.get((ident, method))
+    if static is None and ident not in ("Math", "Collections"):
+        return dynamic
+    evaluated = args[:1] if ident in ("Integer", "Double", "String") else args
+    # ``Math.max(...)`` and the like, while no variable of the class's name
+    # is bound.  A ``Collections`` method not in ``_STATIC`` falls through.
+    def static_call(interp: Interpreter, env: dict) -> Any:
+        interp._steps += 1
+        if interp._steps > interp._max_steps:
+            raise InterpreterError(_STEP_LIMIT)
+        if ident not in env:
+            values = [a(interp, env) for a in evaluated]
+            if static is not None:
+                return static(values)
+            if ident == "Math":
+                raise InterpreterError(f"unknown Math method {method!r}")
+        interp._steps -= 1  # ``dynamic`` charges this call's step again
+        return dynamic(interp, env)
+    return static_call
+
+
+def _receiver_call(receiver: _Code, method: str, args: tuple[_Code, ...]) -> _Code:
+    """A call on a receiver, specialised by the method's name: a bean getter
+    reads an entity's column, anything else dispatches through ``_RECEIVERS``."""
+    column = getter_to_column(method)
+    if column is not None and not args and method not in _JDBC_GETTERS:
+        def other(value: Any) -> Any:
+            return _RECEIVERS.get(type(value), _cannot_call)(value, method, [])
+        return _column_read(receiver, column, other)
+    def method_call(interp: Interpreter, env: dict) -> Any:
+        interp._steps += 1
+        if interp._steps > interp._max_steps:
+            raise InterpreterError(_STEP_LIMIT)
+        value = receiver(interp, env)
+        values = [a(interp, env) for a in args] if args else []
+        return _RECEIVERS.get(type(value), _cannot_call)(value, method, values)
+    return method_call
+
+
+_COMPILE_STMT: dict[type, Callable[[Any], _Code]] = {
+    Assign: _assign, ExprStmt: lambda stmt: _expr(stmt.expr), Block: _block, If: _if,
+    ForEach: _foreach, While: _while, Return: _return, TryCatch: _try,
+    Break: lambda stmt: _raiser(_BreakSignal), Continue: lambda stmt: _raiser(_ContinueSignal),
+}
+_COMPILE_EXPR: dict[type, Callable[[Any], _Code]] = {
+    **dict.fromkeys((IntLit, FloatLit, StringLit, BoolLit), lambda e: _constant(e.value)),
+    NullLit: lambda e: _constant(None), Name: _name, Binary: _binary, Unary: _unary,
+    Ternary: _ternary, Call: _call, MethodCall: _method_call, FieldAccess: _field,
+    New: _new,
+}
 
 
 def run_program(
-    source_or_program: str | Program,
-    connection: Connection,
-    function: str = "main",
+    source_or_program: str | Program, connection: Connection, function: str = "main",
     args: tuple = (),
 ) -> tuple[Any, list[str]]:
     """Parse (if needed) and run a program; return (result, printed output)."""

@@ -29,12 +29,6 @@ class Entity:
             return self.row[matches[0]]
         raise KeyError(f"row has no column {column!r}; columns: {sorted(self.row)}")
 
-    def has(self, column: str) -> bool:
-        if column in self.row:
-            return True
-        suffix = f".{column}"
-        return sum(1 for k in self.row if k.endswith(suffix)) == 1
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Entity):
             return _plain(self.row) == _plain(other.row)

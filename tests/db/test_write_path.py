@@ -86,6 +86,14 @@ def test_unknown_table_raises_the_catalog_error():
             write()
 
 
+def test_clearing_an_unknown_table_raises_the_catalog_error():
+    db = Database(Catalog())
+    with pytest.raises(KeyError, match="unknown table 'nope'"):
+        db.clear("nope")
+    assert db.table_names() == []
+    assert "nope" not in db.catalog
+
+
 @pytest.mark.parametrize("bad", [None, 7, ["id", 1]])
 def test_malformed_row_mid_batch_leaves_the_table_unchanged(bad):
     db = _db()

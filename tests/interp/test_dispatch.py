@@ -1,10 +1,11 @@
 """The interpreter's dispatch: error paths and the step budget.
 
 Every node, operator and method call dispatches on its type; whatever
-falls outside a table must raise :class:`InterpreterError` with the
-message below.  The step budget charges one step per statement, per
-expression and per ``while`` iteration: a program runs with exactly the
-steps it takes and stops one step short of them.
+falls outside a table, and a read of a row that is not there, must raise
+:class:`InterpreterError` with the message below.  The step budget
+charges one step per statement, per expression and per ``while``
+iteration: a program runs with exactly the steps it takes and stops one
+step short of them.
 """
 
 import pytest
@@ -29,6 +30,10 @@ def _patched(statement):
     return program
 
 
+_MISSING_OWNER = (
+    "row has no column 'owner'; columns: ['budget', 'finished', 'id', 'name',"
+    " 'project.budget', 'project.finished', 'project.id', 'project.name']"
+)
 ERROR_CASES = {
     "unknown expression": (
         _patched(ExprStmt(_UnknownExpr())), (), "cannot evaluate _UnknownExpr"),
@@ -53,6 +58,21 @@ ERROR_CASES = {
     "field access on a non-entity": (
         parse_program("main() { x = 5; return x.score; }"), (),
         "cannot access field 'score' on int"),
+    "cursor read before next": (
+        parse_program(
+            'main() { rs = executeQueryCursor("SELECT * FROM project");'
+            ' return rs.getInt("id"); }'),
+        (), "cursor is not positioned on a row"),
+    "bean getter on a missing column": (
+        parse_program(
+            'main() { for (p : executeQuery("SELECT * FROM project"))'
+            " { return p.getOwner(); } return 0; }"),
+        (), _MISSING_OWNER),
+    "field access on a missing column": (
+        parse_program(
+            'main() { for (p : executeQuery("SELECT * FROM project"))'
+            " { return p.owner; } return 0; }"),
+        (), _MISSING_OWNER),
 }
 
 

@@ -424,11 +424,14 @@ def _transfer(
         if key not in exposed:
             exposed[key] = _live_in(stmt.body.statements, set(), exposed, None)
         body_live = live | exposed[key]
+        if isinstance(stmt, While):
+            # After the body the condition is tested again.
+            body_live |= expr_reads(stmt.cond)
         if live_after is not None:
             _live_in(stmt.body.statements, body_live, exposed, live_after)
         if isinstance(stmt, ForEach):
             return (body_live - {stmt.var}) | expr_reads(stmt.iterable)
-        return body_live | expr_reads(stmt.cond)
+        return body_live
     if isinstance(stmt, TryCatch):
         result = set(live)
         for body in (stmt.try_body, stmt.catch_body, stmt.finally_body):

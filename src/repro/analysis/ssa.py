@@ -60,11 +60,10 @@ from ..lang import (
     Ternary,
     Unary,
     While,
-    statement_expressions,
     walk_expressions,
 )
 from .cfg import CFG, build_cfg
-from .dataflow import STATIC_RECEIVERS, _MUTATING_METHODS, expr_reads
+from .dataflow import STATIC_RECEIVERS, _MUTATING_METHODS
 from .dominators import immediate_dominators
 from .effects import BUILTIN_CALLS, EffectSummary
 
@@ -215,13 +214,6 @@ def _stmt_defs(
                     elif pos in summary.mutates_params:
                         defs.append((arg.ident, "mutate", None))
     return defs
-
-
-def _stmt_uses(stmt: Stmt) -> set[str]:
-    uses: set[str] = set()
-    for expr in statement_expressions(stmt):
-        uses |= {r for r in expr_reads(expr) if not r.startswith("@")}
-    return uses
 
 
 def build_ssa(

@@ -1,7 +1,13 @@
 """In-memory database substrate with a simulated client/server boundary."""
 
 from .connection import Connection, ConnectionStats, CostParameters, describe_plan
-from .engine import Database, EngineDivergenceError, EngineError, ReferenceEvaluator
+from .engine import (
+    Database,
+    EngineDivergenceError,
+    EngineError,
+    ReferenceEvaluator,
+    UnknownTableError,
+)
 from .stats import (
     STATS_EXACT_MAX,
     STATS_SAMPLE_SIZE,
@@ -29,6 +35,7 @@ __all__ = [
     "ReferenceEvaluator",
     "Row",
     "TableStats",
+    "UnknownTableError",
     "build_sampled_table_stats",
     "estimate_ndv",
     "describe_plan",

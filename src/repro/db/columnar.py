@@ -114,40 +114,39 @@ _VECTOR_FUNCS = frozenset(
 # Plan-time support checks
 
 
+def _vectorizable(expr: ScalarExpr, resolves) -> bool:
+    """True when every node of ``expr`` is in the vector evaluator's subset
+    and every column reference satisfies ``resolves(col)``."""
+    for node in walk_scalar(expr):
+        if isinstance(node, Col):
+            ok = node.name != "*" and resolves(node)
+        elif isinstance(node, BinOp):
+            ok = node.op.upper() in _ALLOWED_BINOPS
+        elif isinstance(node, UnOp):
+            ok = node.op.upper() in ("NOT", "-")
+        elif isinstance(node, Func):
+            ok = node.name.upper() in _VECTOR_FUNCS
+        else:
+            # A CASE WHEN's cond and branches are visited by walk_scalar;
+            # ExistsExpr, ScalarSubquery and unknown nodes are excluded.
+            ok = isinstance(node, (Lit, Param, CaseWhen))
+        if not ok:
+            return False
+    return True
+
+
 def supported_expr(expr: ScalarExpr, alias: str, columns: set[str]) -> bool:
     """True when ``expr`` is vectorizable over a scan of one table.
 
-    Requires every node to be in the vector evaluator's subset and every
-    column reference to resolve *strictly* against the scan's row (bare
-    name, or qualified by the scan alias) — the condition under which a
-    merged outer row can never divert the lookup, so batch evaluation
+    Every column reference must resolve *strictly* against the scan's row
+    (bare name, or qualified by the scan alias) — the condition under which
+    a merged outer row can never divert the lookup, so batch evaluation
     against the raw columns is exact.
     """
-    for node in walk_scalar(expr):
-        if isinstance(node, (Lit, Param)):
-            continue
-        if isinstance(node, Col):
-            if node.name == "*" or node.name not in columns:
-                return False
-            if node.qualifier is not None and node.qualifier != alias:
-                return False
-            continue
-        if isinstance(node, BinOp):
-            if node.op.upper() not in _ALLOWED_BINOPS:
-                return False
-            continue
-        if isinstance(node, UnOp):
-            if node.op.upper() not in ("NOT", "-"):
-                return False
-            continue
-        if isinstance(node, Func):
-            if node.name.upper() not in _VECTOR_FUNCS:
-                return False
-            continue
-        if isinstance(node, CaseWhen):
-            continue  # cond/branches are visited by walk_scalar
-        return False  # ExistsExpr, ScalarSubquery, unknown
-    return True
+    return _vectorizable(
+        expr,
+        lambda col: col.name in columns and col.qualifier in (None, alias),
+    )
 
 
 def supported_join_expr(
@@ -159,43 +158,21 @@ def supported_join_expr(
 ) -> bool:
     """True when ``expr`` is vectorizable over a two-table combined row.
 
-    The operator subset matches :func:`supported_expr`; every column
-    reference must resolve *strictly* against one of the two scans exactly
-    as it would on the reference's ``{**right, **left}`` combined row —
-    qualified by one of the scan aliases, or a bare name present in either
-    table (left winning collisions, which :func:`residual_layout` mirrors).
+    Every column reference must resolve *strictly* against one of the two
+    scans exactly as it would on the reference's ``{**right, **left}``
+    combined row — qualified by one of the scan aliases, or a bare name
+    present in either table (left winning collisions, which
+    :func:`residual_layout` mirrors).
     """
-    for node in walk_scalar(expr):
-        if isinstance(node, (Lit, Param)):
-            continue
-        if isinstance(node, Col):
-            if node.name == "*":
-                return False
-            if node.qualifier is not None:
-                if node.qualifier == lalias and node.name in lcols:
-                    continue
-                if node.qualifier == ralias and node.name in rcols:
-                    continue
-                return False
-            if node.name in lcols or node.name in rcols:
-                continue
-            return False
-        if isinstance(node, BinOp):
-            if node.op.upper() not in _ALLOWED_BINOPS:
-                return False
-            continue
-        if isinstance(node, UnOp):
-            if node.op.upper() not in ("NOT", "-"):
-                return False
-            continue
-        if isinstance(node, Func):
-            if node.name.upper() not in _VECTOR_FUNCS:
-                return False
-            continue
-        if isinstance(node, CaseWhen):
-            continue
-        return False
-    return True
+
+    def resolves(col: Col) -> bool:
+        if col.qualifier is None:
+            return col.name in lcols or col.name in rcols
+        return (col.qualifier == lalias and col.name in lcols) or (
+            col.qualifier == ralias and col.name in rcols
+        )
+
+    return _vectorizable(expr, resolves)
 
 
 def residual_layout(
@@ -555,7 +532,8 @@ class ColumnarPipeline(PhysicalOp):
 
     ``head`` is ``("aggregate", Aggregate)``, ``("project", Project)``,
     ``("sort", Sort)``, ``("topn", (Sort, count))``, or ``("filter", None)``
-    (emit the filtered scan rows themselves).  The sort heads order a row
+    (emit the filtered scan rows themselves); ``head_exprs`` are the
+    expressions the head evaluates.  The sort heads order a row
     *index* permutation by vectorized key columns (a bounded ``nsmallest``
     heap for top-N) and materialize only the emitted rows.  The
     row↔column boundary sits at this operator's output: whatever consumes
@@ -572,6 +550,7 @@ class ColumnarPipeline(PhysicalOp):
         table_columns: tuple[str, ...],
         pred: ScalarExpr | None,
         head: tuple[str, Any],
+        head_exprs=(),
     ):
         self.name = name
         self.alias = alias or name
@@ -580,22 +559,11 @@ class ColumnarPipeline(PhysicalOp):
         self.head_kind, self.head_node = head
         #: Columns the post-selection stages read (gathered via the
         #: selection vector; everything else is never touched).
-        if self.head_kind == "aggregate":
-            node = self.head_node
-            exprs = list(node.group_by) + [
-                item.call.arg for item in node.aggs if item.call.arg is not None
-            ]
-            self.head_columns = used_columns(exprs)
-        elif self.head_kind == "project":
-            self.head_columns = used_columns(
-                item.expr for item in self.head_node.items
-            )
-        elif self.head_kind in ("sort", "topn"):
-            self.head_columns = used_columns(
-                key.expr for key in self._sort_node().keys
-            )
-        else:
-            self.head_columns = set(self.table_columns)
+        self.head_columns = (
+            set(self.table_columns)
+            if self.head_kind == "filter"
+            else used_columns(head_exprs)
+        )
 
     def _sort_node(self) -> Sort:
         return self.head_node[0] if self.head_kind == "topn" else self.head_node

@@ -74,6 +74,14 @@ class EngineError(Exception):
     """Raised on evaluation failures (unknown table/column/function)."""
 
 
+class UnknownTableError(EngineError, KeyError):
+    """Raised by every :class:`Database` entry point given a table name it
+    does not know: an :class:`EngineError` for engine callers, and the
+    catalog's ``KeyError`` for callers of the write path."""
+
+    __str__ = Exception.__str__
+
+
 class EngineDivergenceError(EngineError):
     """Raised by ``engine="both"`` when planned and reference rows differ."""
 
@@ -160,7 +168,7 @@ class Database:
         costs one invalidation; an empty one costs none and keeps the
         cached plans.
         """
-        names = self.catalog.get(name).column_names()
+        names = self._table(name).column_names()
         stored = [{col: row.get(col) for col in names} for row in rows]
         if stored:
             self._tables[name.lower()].extend(stored)
@@ -171,15 +179,22 @@ class Database:
         try:
             return self._tables[name.lower()]
         except KeyError:
-            raise EngineError(f"unknown table {name!r}") from None
+            raise UnknownTableError(f"unknown table {name!r}") from None
+
+    def _table(self, name: str):
+        """The catalog's definition of ``name``."""
+        try:
+            return self.catalog.get(name)
+        except KeyError:
+            raise UnknownTableError(f"unknown table {name!r}") from None
 
     def table_names(self) -> list[str]:
         return sorted(self._tables)
 
     def clear(self, name: str) -> None:
-        """Empty a table the catalog knows (an unknown name raises the
-        catalog's ``KeyError``, as :meth:`insert_many` does)."""
-        self.catalog.get(name)
+        """Empty a table the catalog knows (an unknown name raises
+        :class:`UnknownTableError`, as every entry point does)."""
+        self._table(name)
         self._tables[name.lower()] = []
         self._invalidate(name)
         self._unindexable = {
@@ -196,7 +211,7 @@ class Database:
         plans and point lookups; indexes on declared key columns are also
         auto-registered the first time a point lookup needs one.
         """
-        table = self.catalog.get(name)
+        table = self._table(name)
         if not table.has_column(column):
             raise EngineError(f"no column {column!r} on table {name!r}")
         self._indexes.setdefault((name.lower(), column), None)
@@ -300,7 +315,7 @@ class Database:
         if sample is None and lowered in self._table_stats:
             return self._table_stats[lowered]
         if lowered not in self._tables:
-            raise EngineError(f"unknown table {name!r}")
+            raise UnknownTableError(f"unknown table {name!r}")
         from .stats import STATS_EXACT_MAX, STATS_SAMPLE_SIZE
         from .stats import build_sampled_table_stats as build
 
@@ -320,8 +335,8 @@ class Database:
         """Columnar execution policy: ``"auto"`` (columnar wherever
         supported, at any table size, with index probes the only costed
         row alternative), ``"off"`` (always row-at-a-time), or
-        ``"force"`` (columnar whenever structurally supported, no cost
-        search — used by the differential tests)."""
+        ``"force"`` (columnar whenever structurally supported, whatever
+        it costs — used by the differential tests)."""
         return self._columnar_mode
 
     @columnar_mode.setter

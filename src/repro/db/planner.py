@@ -9,12 +9,13 @@ row.  Whenever that proof fails — inexact scopes, suffix-fallback column
 lookups, expressions hiding subqueries — the planner emits the general
 operator that mirrors the reference evaluator line for line.
 
-Among the alternatives that *do* pass the soundness proof, the planner no
-longer applies fixed heuristics: each choice point builds a group in the
-Volcano-style memo (:class:`repro.db.andor.Memo`) whose alternatives are
-costed from observed table statistics (:mod:`repro.db.stats` — row counts,
-NDV, histograms), and the cheapest alternative wins.  Ties keep the first
-candidate listed, which encodes the pre-cost preference order.  Join
+Among the alternatives that *do* pass the soundness proof, the planner
+applies no fixed heuristics: each choice point costs its candidates from
+observed table statistics (:mod:`repro.db.stats` — row counts, NDV,
+histograms) and :meth:`Planner._choose` keeps the cheapest.  Ties keep the
+first candidate listed, which encodes the pre-cost preference order.  No
+candidate has children to cost, so there is no plan search beyond that
+``min``.  Join
 *order* is never searched: the reference's row order (left-major loops,
 first-seen groups) is part of the contract, so costing only picks among
 order-preserving strategies for the same shape.
@@ -54,7 +55,9 @@ it are index probes: any row operator that scans the table pays per-row
 materialization the vectorized scan skips, so it could never win.  Row
 operators remain for ``columnar="off"``, non-scan inputs, ``LIMIT``'s early
 exit, unsupported expressions, and the columnar joins' unhashable-key
-fallback.
+fallback.  The columnar mode is read where it acts: ``"off"`` where a
+columnar candidate would be built (:meth:`Planner._vector_side`), and
+``"force"`` where a winner is picked (:meth:`Planner._choose`).
 
 Every cost decision leaves a breadcrumb in ``Database.last_plan_search``:
 the chosen operator, its cost, each rejected alternative's cost, and the
@@ -85,7 +88,6 @@ from ..algebra import (
     conjoin,
     walk_scalar,
 )
-from .andor import AndNode, Memo
 from .columnar import (
     ColumnarHashJoin,
     ColumnarPipeline,
@@ -350,8 +352,6 @@ class Planner:
         self.catalog = db.catalog
         self.columnar = columnar if columnar is not None else db.columnar_mode
         self.estimator = CardinalityEstimator(db, bindings)
-        self.memo = Memo()
-        self._alternatives = 0
         self._choices: list[dict] = []
         #: While lowering an OUTER APPLY's right side: the names every
         #: outer row it runs under is guaranteed to carry.  ``None``
@@ -364,45 +364,39 @@ class Planner:
         plan = self._lower(node)
         # Search-size breadcrumbs for tests and EXPLAIN-style introspection.
         self.db.last_plan_search = {
-            "groups": len(self.memo),
-            "alternatives": self._alternatives,
+            "groups": len(self._choices),
+            "alternatives": sum(1 + len(c["rejected"]) for c in self._choices),
             "choices": self._choices,
         }
         return plan
 
     def _choose(self, label: str, candidates) -> PhysicalOp:
-        """Record one memo group of costed alternatives and return the
-        winner's plan.  ``candidates`` is ``[(op_name, cost, plan), ...]``;
-        the memo's strict-< minimization keeps the first on ties.
+        """Return the winning plan of one choice point.
+
+        ``candidates`` is ``[(op_name, cost, plan), ...]``; the first of
+        least cost wins, so ties keep the listed preference order.  Under
+        ``columnar="force"`` the first columnar candidate wins whatever it
+        costs.
 
         Each decision leaves a breadcrumb in ``last_plan_search["choices"]``
         with the rejected alternatives' costs and the winner's margin (how
         much cheaper the winner was than the best rejected candidate), so
         ``explain()`` can show *why* an operator was picked."""
-        group = self.memo.new_group(label)
-        for op, cost, plan in candidates:
-            if group.add(AndNode(op=op, local_cost=cost, payload=plan)):
-                self._alternatives += 1
-        best = self.memo.optimize(group.group_id).alternative
-        rejected = [
-            {"op": op, "cost": cost}
-            for op, cost, plan in candidates
-            if plan is not best.payload
-        ]
+        best = min(candidates, key=lambda candidate: candidate[1])
+        if self.columnar == "force":
+            best = next((c for c in candidates if c[0].startswith("Columnar")), best)
+        op, cost, plan = best
+        rejected = [{"op": o, "cost": c} for o, c, p in candidates if p is not plan]
         self._choices.append(
             {
                 "label": label,
-                "chosen": best.op,
-                "cost": best.local_cost,
+                "chosen": op,
+                "cost": cost,
                 "rejected": rejected,
-                "margin": (
-                    min(r["cost"] for r in rejected) - best.local_cost
-                    if rejected
-                    else None
-                ),
+                "margin": min(r["cost"] for r in rejected) - cost if rejected else None,
             }
         )
-        return best.payload
+        return plan
 
     # ------------------------------------------------------------------
 
@@ -412,18 +406,38 @@ class Planner:
         if isinstance(node, Select):
             return self._lower_select(node, allow_columnar)
         if isinstance(node, Project):
-            return self._lower_project(node, allow_columnar)
+            return self._lower_head(
+                node.child, ("project", node), [item.expr for item in node.items],
+                node, lambda child: ProjectOp(child, node), allow_columnar,
+            )
         if isinstance(node, Join):
             return self._lower_join(node, allow_columnar)
         if isinstance(node, Aggregate):
-            return self._lower_aggregate(node, allow_columnar)
+            foldable = not any(
+                item.call.distinct or item.call.func not in _FOLDABLE_AGGS
+                for item in node.aggs
+            )
+            exprs = list(node.group_by) + [
+                item.call.arg for item in node.aggs if item.call.arg is not None
+            ]
+            return self._lower_head(
+                node.child, ("aggregate", node), exprs if foldable else None,
+                node, lambda child: HashAggregate(child, node), allow_columnar,
+            )
         if isinstance(node, Sort):
-            return self._columnar_order(node, None, allow_columnar)
+            return self._lower_head(
+                node.child, ("sort", node), [key.expr for key in node.keys],
+                node, lambda child: SortOp(child, node), allow_columnar,
+            )
         if isinstance(node, Distinct):
             return DistinctOp(self._lower(node.child))
         if isinstance(node, Limit):
-            if isinstance(node.child, Sort):
-                return self._columnar_order(node.child, node.count, allow_columnar)
+            sort, count = node.child, node.count
+            if isinstance(sort, Sort):
+                return self._lower_head(
+                    sort.child, ("topn", (sort, count)), [key.expr for key in sort.keys],
+                    node, lambda child: TopN(child, sort, count), allow_columnar,
+                )
             # A columnar pipeline consumes its whole input before emitting,
             # which would defeat LIMIT's early exit — unless the child is
             # an aggregate, which must consume everything anyway.
@@ -475,21 +489,18 @@ class Planner:
                 ("IndexLookup", _C_PROBE + probe_rows * (_C_ROW + _C_EVAL), lookup)
             )
 
-        pipeline = None
-        if allow_columnar:
-            pipeline = self._pipeline(table, node.pred, ("filter", None), ())
-        if pipeline is not None:
-            if self.columnar == "force":
-                return pipeline
+        side = self._vector_side(node, ()) if allow_columnar else None
+        if side is not None:
             out = row_count * est.selectivity(node.pred, table.name)
             # Point-predicate guard: when an index probe exists and the
             # estimator says the predicate keeps only a handful of rows,
             # vectorizing the whole scan cannot beat the O(1) probe —
             # drop the columnar candidate instead of letting a skewed
-            # cost constant pick it.
-            if lookup is not None and out < _POINT_ROWS:
-                pipeline = None
-        if pipeline is not None:
+            # cost constant pick it (``force`` keeps it).
+            if lookup is not None and out < _POINT_ROWS and self.columnar != "force":
+                side = None
+        if side is not None:
+            pipeline = ColumnarPipeline(*side, ("filter", None))
             candidates.append(
                 ("Columnar", row_count * _C_VEC + out * _C_ROW, pipeline)
             )
@@ -750,160 +761,64 @@ class Planner:
         )
 
     # ------------------------------------------------------------------
-    # Columnar pipelines
+    # Heads over a filtered scan, and the one vectorizability test
 
-    def _pipeline(self, table: Table, pred, head, head_exprs):
-        """A :class:`ColumnarPipeline` over ``table``, or ``None`` when the
-        mode or expression support rules it out."""
-        if self.columnar == "off":
-            return None
-        schema = self.catalog.get(table.name)
-        columns = set(schema.column_names())
-        alias = table.alias or table.name
-        exprs = list(head_exprs)
-        if pred is not None:
-            exprs.append(pred)
-        if not all(supported_expr(e, alias, columns) for e in exprs):
-            return None
-        return ColumnarPipeline(
-            table.name, table.alias, schema.column_names(), pred, head
-        )
+    def _lower_head(self, child, head, head_exprs, out_node, row_head, allow_columnar):
+        """Lower a π/γ/τ/top-N ``head`` over ``child``.
 
-    def _scan_shape(self, rel: RelExpr):
-        """Decompose ``rel`` as ``[σ] over base table``; returns
-        ``(table, pred, select_node)`` or ``(None, None, None)``."""
-        if isinstance(rel, Table) and rel.name in self.catalog:
-            return rel, None, None
-        if (
-            isinstance(rel, Select)
-            and isinstance(rel.child, Table)
-            and rel.child.name in self.catalog
-        ):
-            return rel.child, rel.pred, rel
-        return None, None, None
-
-    def _lower_project(self, node: Project, allow_columnar: bool = True) -> PhysicalOp:
-        plan = self._columnar_head(node, allow_columnar)
-        if plan is not None:
-            return plan
-        return ProjectOp(self._lower(node.child, allow_columnar), node)
-
-    def _lower_aggregate(self, node: Aggregate, allow_columnar: bool = True) -> PhysicalOp:
-        plan = self._columnar_head(node, allow_columnar)
-        if plan is not None:
-            return plan
-        return HashAggregate(self._lower(node.child, allow_columnar), node)
-
-    def _columnar_head(self, node, allow_columnar: bool) -> PhysicalOp | None:
-        """Try lowering ``γ`` or ``π`` over ``[σ] over base table`` as one
-        columnar pipeline; ``None`` defers to the generic row lowering."""
-        if not allow_columnar or self.columnar == "off":
-            return None
-        table, pred, _ = self._scan_shape(node.child)
-        if table is None:
-            return None
-
-        if isinstance(node, Aggregate):
-            if any(
-                item.call.distinct or item.call.func not in _FOLDABLE_AGGS
-                for item in node.aggs
-            ):
-                return None
-            head_exprs = list(node.group_by) + [
-                item.call.arg for item in node.aggs if item.call.arg is not None
-            ]
-            head = ("aggregate", node)
-            row_head = HashAggregate
-            label = f"aggregate({table.name})"
-        else:
-            head_exprs = [item.expr for item in node.items]
-            head = ("project", node)
-            row_head = ProjectOp
-            label = f"project({table.name})"
-
-        pipeline = self._pipeline(table, pred, head, head_exprs)
-        if pipeline is None or self.columnar == "force":
-            return pipeline
-        return self._choose_head(
-            label,
-            pipeline,
-            node.child,
-            head_exprs,
-            self.estimator.estimate(node),
-            lambda lookup: row_head(lookup, node),
-        )
-
-    def _choose_head(self, label, pipeline, scan, head_exprs, out, row_head):
-        """Cost a π/γ/τ head's columnar pipeline over ``scan`` against the
-        same head run row-at-a-time over an index probe of the scan's
-        filter — the one row alternative that can beat a vectorized scan.
-        ``row_head`` wraps the probe in the head's row operator."""
-        table, pred, select_node = self._scan_shape(scan)
+        When ``child`` is a vectorizable ``[σ] over base table``, one
+        columnar pipeline is costed against the same head run row-at-a-time
+        over an index probe of the scan's filter — the one row alternative
+        that can beat a vectorized scan.  Otherwise ``row_head`` wraps the
+        generic lowering of ``child`` in the head's row operator.
+        ``head_exprs`` is ``None`` when the head itself has no vector form
+        (a DISTINCT or unfoldable aggregate); ``out_node`` is the tree whose
+        estimate is the head's output."""
+        side = None
+        if allow_columnar and head_exprs is not None:
+            side = self._vector_side(child, head_exprs)
+        if side is None:
+            return row_head(self._lower(child, allow_columnar))
+        name, _, _, pred = side
         est = self.estimator
-        rows_in = est.estimate(scan)
-        head_evals = rows_in * len(head_exprs)
-        col_scan = 0.0 if pred is None else est.table_rows(table.name) * _C_VEC
+        out = est.estimate(out_node)
+        head_evals = est.estimate(child) * len(head_exprs)
+        col_scan = 0.0 if pred is None else est.table_rows(name) * _C_VEC
         candidates = [
-            ("Columnar", col_scan + head_evals * _C_VEC + out * _C_ROW, pipeline)
-        ]
-        if select_node is not None:
-            lookup, probe_rows = self._best_index_lookup(
-                select_node, split_conjuncts(pred)
+            (
+                "Columnar",
+                col_scan + head_evals * _C_VEC + out * _C_ROW,
+                ColumnarPipeline(*side, head, head_exprs),
             )
+        ]
+        if isinstance(child, Select):
+            lookup, probe_rows = self._best_index_lookup(child, split_conjuncts(pred))
             if lookup is not None:
                 plan = row_head(lookup)
                 probe = _C_PROBE + probe_rows * (_C_ROW + _C_EVAL)
                 candidates.append(
                     (plan.label, probe + head_evals * _C_EVAL + out * _C_ROW, plan)
                 )
-        return self._choose(label, candidates)
-
-    def _columnar_order(self, node: Sort, count, allow_columnar: bool) -> PhysicalOp:
-        """Lower ``τ`` (or ``LIMIT`` over ``τ``) with a columnar sort/top-N
-        candidate when the child is a vectorizable filtered scan; otherwise
-        exactly the generic :class:`SortOp`/:class:`TopN` lowering."""
-        head_exprs = [k.expr for k in node.keys]
-        table, pred, _ = self._scan_shape(node.child)
-        pipeline = None
-        if allow_columnar and table is not None:
-            head = ("sort", node) if count is None else ("topn", (node, count))
-            pipeline = self._pipeline(table, pred, head, head_exprs)
-        if pipeline is None:
-            child = self._lower(node.child, allow_columnar)
-            return self._row_order(child, node, count)
-        if self.columnar == "force":
-            return pipeline
-        kind = "sort" if count is None else "topn"
-        return self._choose_head(
-            f"{kind}({table.name})",
-            pipeline,
-            node.child,
-            head_exprs,
-            self.estimator.estimate(node if count is None else Limit(node, count)),
-            lambda lookup: self._row_order(lookup, node, count),
-        )
-
-    @staticmethod
-    def _row_order(child: PhysicalOp, node: Sort, count) -> PhysicalOp:
-        return SortOp(child, node) if count is None else TopN(child, node, count)
+        return self._choose(f"{head[0]}({name})", candidates)
 
     def _vector_side(self, rel: RelExpr, exprs):
-        """Decompose ``rel`` as a vectorizable (possibly filtered) scan.
+        """Decompose ``rel`` as a vectorizable (possibly filtered) scan —
+        the one test every columnar candidate passes.
 
         Returns the ``(table, alias, columns, pred)`` side descriptor the
-        columnar join operators consume, or ``None`` when the shape or any
-        expression (the scan predicate plus the join-key ``exprs`` that
-        must evaluate against this side alone) is outside the vector
-        subset."""
-        table, pred, _ = self._scan_shape(rel)
-        if table is None:
+        columnar operators consume, or ``None`` under ``columnar="off"`` or
+        when the shape or any expression (the scan predicate plus ``exprs``,
+        the head or join-key expressions that must evaluate against this
+        side alone) is outside the vector subset."""
+        if self.columnar == "off":
+            return None
+        table, pred = (rel.child, rel.pred) if isinstance(rel, Select) else (rel, None)
+        if not (isinstance(table, Table) and table.name in self.catalog):
             return None
         alias = table.alias or table.name
         columns = self.catalog.get(table.name).column_names()
         column_set = set(columns)
-        checks = list(exprs)
-        if pred is not None:
-            checks.append(pred)
+        checks = list(exprs) if pred is None else [*exprs, pred]
         if not all(supported_expr(e, alias, column_set) for e in checks):
             return None
         return (table.name, alias, tuple(columns), pred)
@@ -950,12 +865,10 @@ class Planner:
         )
 
         col_join = None
-        if allow_columnar and self.columnar != "off":
+        if allow_columnar:
             col_join = self._columnar_join(
                 node, left_keys, right_keys, residual_pred, hash_join
             )
-        if col_join is not None and self.columnar == "force":
-            return col_join
 
         # Index nested-loop only on explicit opt-in (create_index): for a
         # one-shot join the hash build is at least as good, but a
@@ -1061,10 +974,8 @@ class Planner:
         fallback,
     ) -> ColumnarSemiJoin | None:
         """A :class:`ColumnarSemiJoin` for a decorrelated EXISTS, or
-        ``None`` when the mode, either side's shape, or any key expression
-        rules it out."""
-        if self.columnar == "off":
-            return None
+        ``None`` when either side's shape or any key expression rules it
+        out."""
         child_rel = (
             node.child if not others else Select(node.child, conjoin(*others))
         )

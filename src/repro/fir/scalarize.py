@@ -71,12 +71,13 @@ CAPABLE_UNIMPLEMENTED_OPS = {
     "empty_map",
 }
 
+#: Imperative binary operators with an equivalent SQL operator.  ``/`` and
+#: ``%`` have none: Java truncates integer division (``3 / 2`` is 1) where
+#: SQL divides exactly, so a fold over them stays unextracted.
 _BINARY_OPS = {
     "+": "+",
     "-": "-",
     "*": "*",
-    "/": "/",
-    "%": "%",
     "==": "=",
     "!=": "!=",
     "<": "<",

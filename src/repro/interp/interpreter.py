@@ -158,7 +158,13 @@ class Interpreter:
             receiver.extend(args[0])
             return True
         if method == "get":
-            return receiver[args[0]]
+            index = args[0]
+            if not 0 <= index < len(receiver):
+                raise InterpreterError(
+                    f"IndexOutOfBoundsException: Index {index} out of bounds"
+                    f" for length {len(receiver)}"
+                )
+            return receiver[index]
         if method == "size":
             return len(receiver)
         if method == "isEmpty":
@@ -286,8 +292,29 @@ def _java_add(left: Any, right: Any) -> Any:
 
 def _java_div(left: Any, right: Any) -> Any:
     if isinstance(left, int) and isinstance(right, int):
+        if right == 0:
+            raise InterpreterError("ArithmeticException: / by zero")
         return left // right  # Java integer division
     return left / right
+
+
+def _java_mod(left: Any, right: Any) -> Any:
+    if isinstance(left, int) and isinstance(right, int) and right == 0:
+        raise InterpreterError("ArithmeticException: / by zero")
+    return left % right
+
+
+def _java_parse(convert: Callable[[Any], Any]) -> Callable[[list[Any]], Any]:
+    """``Integer.parseInt``/``Double.parseDouble``: input that is not a
+    number raises Java's ``NumberFormatException``."""
+    def parse(args: list[Any]) -> Any:
+        try:
+            return convert(args[0])
+        except (TypeError, ValueError):
+            raise InterpreterError(
+                f'NumberFormatException: For input string: "{args[0]}"'
+            ) from None
+    return parse
 
 
 def _register_temp_table(interp: Interpreter, env: dict, args: list[Any]) -> None:
@@ -315,7 +342,7 @@ _RECEIVERS = {
 }
 _BINARY = {
     "+": _java_add, "-": operator.sub, "*": operator.mul, "/": _java_div,
-    "%": operator.mod, "==": operator.eq, "!=": operator.ne, "<": operator.lt,
+    "%": _java_mod, "==": operator.eq, "!=": operator.ne, "<": operator.lt,
     ">": operator.gt, "<=": operator.le, ">=": operator.ge,
 }
 #: What each query call makes of the rows of its one argument's query.
@@ -339,8 +366,8 @@ _NEW = {
 #: arguments (``Integer``, ``Double`` and ``String`` evaluate only the first).
 _STATIC = {
     ("Math", "max"): max, ("Math", "min"): min, ("Math", "abs"): lambda args: abs(args[0]),
-    ("Integer", "parseInt"): lambda args: int(args[0]),
-    ("Double", "parseDouble"): lambda args: float(args[0]),
+    ("Integer", "parseInt"): _java_parse(int),
+    ("Double", "parseDouble"): _java_parse(float),
     ("String", "valueOf"): lambda args: to_display(args[0]),
     ("Collections", "sort"): lambda args: args[0].sort(),
     ("Collections", "max"): lambda args: max(args[0]),

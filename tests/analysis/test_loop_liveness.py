@@ -2,8 +2,9 @@
 
 ``golden/loop_liveness.json`` pins every loop's live-out set (loop sid →
 sorted names) for each function of the benchmark's extraction corpus
-(``perfbench/suite.py``), preprocessed, and for the first 200 seed-0
-``difftest`` generator cases, raw and preprocessed.  It was produced by the
+(``perfbench/suite.py``), preprocessed, for the first 200 seed-0
+``difftest`` generator cases, raw and preprocessed, and for the hand-written
+``CASES`` below.  The corpus and difftest entries were produced by the
 per-loop liveness this pass replaced.  Regenerate it after an intentional
 change with::
 
@@ -31,6 +32,18 @@ from repro.lang import parse_program, walk_statements
 ROOT = Path(__file__).resolve().parents[2]
 GOLDEN = Path(__file__).resolve().parent / "golden" / "loop_liveness.json"
 DIFFTEST_CASES = 200
+
+#: Hand-written functions (each named ``f``), by what they pin.
+CASES = {
+    # The inner loop's live-out holds ``v``: the next ``v < 10`` reads it.
+    "while body live-out holds its condition's reads": """
+        f(q) {
+            v = 0;
+            while (v < 10) { v = 0; for (t : q) { v = v + t.getA(); } }
+            return 1;
+        }
+    """,
+}
 
 
 def _corpus():
@@ -72,7 +85,11 @@ def test_every_loop_live_out_matches_pin():
         raw = parse_program(case.source)
         for variant, program in (("raw", raw), ("preprocessed", preprocess_program(raw))):
             difftest[f"{case_id}:{variant}"] = _loops(program.function(case.function))
-    actual = {"corpus": corpus, "difftest": difftest}
+    cases = {
+        name: _loops(parse_program(source).function("f"))
+        for name, source in CASES.items()
+    }
+    actual = {"cases": cases, "corpus": corpus, "difftest": difftest}
     if os.environ.get("REGEN_GOLDEN"):
         GOLDEN.write_text(json.dumps(actual, indent=1, sort_keys=True) + "\n")
         pytest.skip(f"regenerated {GOLDEN.name}")

@@ -1,5 +1,7 @@
 """End-to-end extraction pipeline tests (paper Figure 1 walk-through)."""
 
+import pytest
+
 from repro.core import (
     STATUS_CAPABLE,
     STATUS_FAILED,
@@ -199,3 +201,36 @@ class TestPartialExtraction:
         report = extract_sql(source, "f", catalog)
         assert report.variables["total"].ok
         assert not report.variables["weird"].ok
+
+
+class TestIntegerDivision:
+    """Java truncates integer ``/`` and ``%``; SQL's ``/`` divides exactly,
+    so pushing either into SQL would not be equivalent (Theorem 1)."""
+
+    SOURCE = """
+    f() {
+        q = executeQuery("from t");
+        total = 0;
+        for (r : q) { total = total + r.getA() OP 2; }
+        return total;
+    }
+    """
+
+    @pytest.mark.parametrize("op, expected", [("/", 3), ("%", 2)])
+    def test_division_is_not_pushed_into_sql(self, op, expected):
+        from repro.algebra import Catalog
+        from repro.db import Connection, Database
+        from repro.interp import Interpreter
+
+        catalog = Catalog()
+        catalog.define("t", ["id", "a"], ("id",))
+        database = Database(catalog)
+        database.insert_many("t", [{"id": 1, "a": 3}, {"id": 2, "a": 5}])
+        source = self.SOURCE.replace("OP", op)
+        report = optimize_program(source, "f", catalog)
+        total = report.variables["total"]
+        assert total.status == STATUS_FAILED and total.sql is None
+        assert [d.code for d in total.diagnostics] == ["EQ204"]
+        assert report.rewritten_loops == []
+        program = report.rewritten or report.original
+        assert Interpreter(program, Connection(database)).run("f") == expected

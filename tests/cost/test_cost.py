@@ -1,10 +1,7 @@
-"""Cost-based rewriting tests (Appendix C): the AND-OR memo, the rewrite
-cost model, and the single selector's loop verdicts."""
-
-import pytest
+"""Cost-based rewriting tests (Appendix C): the rewrite cost model and the
+single selector's loop verdicts."""
 
 from repro.core import ExtractOptions, extract_sql, optimize_program
-from repro.db.andor import AndNode, Memo
 from repro.rewrites import AlternativeCostModel, plan_rewrites
 from repro.rewrites.profile import LOCAL
 from repro.sqlparse import parse_query
@@ -58,44 +55,6 @@ def _verdicts(source, function, database):
             rewritten,
         )
     return out
-
-
-class TestMemo:
-    def test_optimize_picks_cheapest_alternative(self):
-        memo = Memo()
-        group = memo.new_group("g")
-        group.add(AndNode(op="expensive", local_cost=10.0))
-        group.add(AndNode(op="cheap", local_cost=2.0))
-        best = memo.optimize(group.group_id)
-        assert best.alternative.op == "cheap"
-        assert best.cost == 2.0
-
-    def test_costs_compose_through_children(self):
-        memo = Memo()
-        child = memo.new_group("child")
-        child.add(AndNode(op="leaf", local_cost=5.0))
-        parent = memo.new_group("parent")
-        parent.add(AndNode(op="seq", children=[child.group_id], local_cost=1.0))
-        assert memo.optimize(parent.group_id).cost == 6.0
-
-    def test_duplicate_derivations_rejected(self):
-        memo = Memo()
-        group = memo.new_group()
-        assert group.add(AndNode(op="a", local_cost=1.0))
-        assert not group.add(AndNode(op="a", local_cost=1.0))
-        assert len(group.alternatives) == 1
-
-    def test_empty_group_raises(self):
-        memo = Memo()
-        group = memo.new_group()
-        with pytest.raises(ValueError):
-            memo.optimize(group.group_id)
-
-    def test_memoization_returns_same_plan(self):
-        memo = Memo()
-        group = memo.new_group()
-        group.add(AndNode(op="a", local_cost=1.0))
-        assert memo.optimize(group.group_id) is memo.optimize(group.group_id)
 
 
 class TestCostModel:

@@ -300,6 +300,35 @@ class TestPlanCache:
         assert query not in database._plan_cache
 
 
+class TestChoose:
+    def test_choose_picks_cheapest_alternative(self, database):
+        planner = Planner(database)
+        expensive, cheap, tied = object(), object(), object()
+        best = planner._choose(
+            "g", [("expensive", 10.0, expensive), ("cheap", 2.0, cheap),
+                  ("tied", 2.0, tied)],
+        )
+        assert best is cheap  # the first candidate of least cost wins ties
+        planner.lower(Table("project"))
+        search = database.last_plan_search
+        assert (search["groups"], search["alternatives"]) == (1, 3)
+        (choice,) = search["choices"]
+        assert (choice["label"], choice["chosen"], choice["cost"]) == ("g", "cheap", 2.0)
+        assert choice["rejected"] == [
+            {"op": "expensive", "cost": 10.0}, {"op": "tied", "cost": 2.0}
+        ]
+        assert choice["margin"] == 0.0
+
+    def test_force_picks_the_columnar_candidate(self, database):
+        columnar, probe = object(), object()
+        planner = Planner(database, columnar="force")
+        best = planner._choose(
+            "g", [("IndexLookup", 1.0, probe), ("Columnar", 9.0, columnar)]
+        )
+        assert best is columnar
+        assert planner._choices[0]["margin"] == -8.0
+
+
 class TestExplain:
     def test_explain_tree_shape(self, database):
         join = Join(

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algebra import BinOp, Catalog, Col, Lit, Select, Table
-from repro.db import Database
+from repro.db import Database, EngineError, UnknownTableError
 
 COLUMNS = ["id", "a", "b"]
 QUERY = Select(Table("t"), BinOp("=", Col("a"), Lit(1)))
@@ -106,3 +106,28 @@ def test_malformed_row_mid_batch_leaves_the_table_unchanged(bad):
     assert _index(db) == index
     assert db._stats_epoch == epoch
     assert db.plan(QUERY) is plan
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda db: db.insert("nope", {"id": 1}),
+        lambda db: db.insert_many("nope", [{"id": 1}]),
+        lambda db: db.clear("nope"),
+        lambda db: db.create_index("nope", "id"),
+        lambda db: db.rows("nope"),
+        lambda db: db.columns("nope"),
+        lambda db: db.stats("nope"),
+        lambda db: db.stats("nope", sample=0),
+        lambda db: db.execute(Table("nope"), engine="planned"),
+        lambda db: db.execute(Table("nope"), engine="reference"),
+    ],
+    ids=["insert", "insert_many", "clear", "create_index", "rows", "columns",
+         "stats", "stats_sampled", "execute_planned", "execute_reference"],
+)
+def test_every_entry_point_raises_one_unknown_table_error(entry):
+    db = _db()
+    with pytest.raises(UnknownTableError, match="^unknown table 'nope'$") as raised:
+        entry(db)
+    assert isinstance(raised.value, EngineError)
+    assert isinstance(raised.value, KeyError)

@@ -1,11 +1,12 @@
 """The interpreter's dispatch: error paths and the step budget.
 
 Every node, operator and method call dispatches on its type; whatever
-falls outside a table, and a read of a row that is not there, must raise
-:class:`InterpreterError` with the message below.  The step budget
-charges one step per statement, per expression and per ``while``
-iteration: a program runs with exactly the steps it takes and stops one
-step short of them.
+falls outside a table, a read of a row that is not there, and a Java
+run-time error (division by zero, a bad number, a list index out of
+bounds) must raise :class:`InterpreterError` with the message below.  The
+step budget charges one step per statement, per expression and per
+``while`` iteration: a program runs with exactly the steps it takes and
+stops one step short of them.
 """
 
 import pytest
@@ -73,6 +74,25 @@ ERROR_CASES = {
             'main() { for (p : executeQuery("SELECT * FROM project"))'
             " { return p.owner; } return 0; }"),
         (), _MISSING_OWNER),
+    # Java run-time errors raise inside the program, so its catch can run.
+    "integer division by zero": (
+        parse_program("main() { return 1 / 0; }"), (),
+        "ArithmeticException: / by zero"),
+    "integer remainder by zero": (
+        parse_program("main() { return 7 % 0; }"), (),
+        "ArithmeticException: / by zero"),
+    "parseInt on a non-number": (
+        parse_program('main() { return Integer.parseInt("z"); }'), (),
+        'NumberFormatException: For input string: "z"'),
+    "parseDouble on a non-number": (
+        parse_program('main() { return Double.parseDouble("z"); }'), (),
+        'NumberFormatException: For input string: "z"'),
+    "list get past the end": (
+        parse_program("main() { l = new ArrayList(); return l.get(3); }"), (),
+        "IndexOutOfBoundsException: Index 3 out of bounds for length 0"),
+    "list get at a negative index": (
+        parse_program("main() { l = new ArrayList(); l.add(1); return l.get(-1); }"),
+        (), "IndexOutOfBoundsException: Index -1 out of bounds for length 1"),
 }
 
 
@@ -83,6 +103,13 @@ def test_error_paths_raise_interpreter_error(case, database):
     with pytest.raises(InterpreterError) as raised:
         interp.run("main", *args)
     assert str(raised.value) == message
+
+
+def test_catch_runs_on_a_java_runtime_error(database):
+    program = parse_program(
+        "main() { x = 0; try { x = 1 / 0; } catch (e) { x = 5; } return x; }"
+    )
+    assert Interpreter(program, Connection(database)).run("main") == 5
 
 
 # Each program with the steps it takes and the value it returns.

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import operator
 from heapq import nsmallest
+from itertools import repeat
 from typing import Any, Iterator
 
 from ..algebra import (
@@ -59,7 +60,6 @@ from ..algebra import (
     Join,
     Lit,
     Param,
-    Project,
     ScalarExpr,
     Sort,
     UnOp,
@@ -523,6 +523,26 @@ def _fold(func: str, gids: list[int], ngroups: int, vec: list) -> list:
     raise EngineError(f"unknown aggregate {func!r}")  # pragma: no cover
 
 
+def _first_occurrences(outputs: dict[str, list], pairs):
+    """The δ stage: the ``(index, source row)`` pairs whose output values
+    were not seen before, in scan order.  The fingerprint is
+    ``DistinctOp``'s — the sorted output names without a ".", values
+    through ``_hashable`` — but every row has one layout, so it needs only
+    the values.  Lazy, so a LIMIT above stops it early."""
+    keys = [outputs[name] for name in sorted(outputs) if "." not in name]
+    if len(keys) == 1:
+        fingerprints = map(_hashable, keys[0])
+    elif keys:
+        fingerprints = zip(*[map(_hashable, vec) for vec in keys])
+    else:
+        fingerprints = repeat(())
+    seen = set()
+    for fingerprint, pair in zip(fingerprints, pairs):
+        if fingerprint not in seen:
+            seen.add(fingerprint)
+            yield pair
+
+
 # ----------------------------------------------------------------------
 # The pipeline operator
 
@@ -535,10 +555,13 @@ class ColumnarPipeline(PhysicalOp):
     (emit the filtered scan rows themselves); ``head_exprs`` are the
     expressions the head evaluates.  The sort heads order a row
     *index* permutation by vectorized key columns (a bounded ``nsmallest``
-    heap for top-N) and materialize only the emitted rows.  The
-    row↔column boundary sits at this operator's output: whatever consumes
-    it (a hash join's build side, a sort, the client) sees ordinary row
-    dicts, bit-identical to the row-at-a-time plan's.
+    heap for top-N) and materialize only the emitted rows.  A project head
+    may end in a δ stage (``distinct``, set by the planner when it folds a
+    ``Distinct`` into the pipeline): duplicates are dropped on the output
+    vectors, so only the kept rows are built.  The row↔column boundary
+    sits at this operator's output: whatever consumes it (a hash join's
+    build side, a sort, the client) sees ordinary row dicts, bit-identical
+    to the row-at-a-time plan's.
     """
 
     label = "Columnar"
@@ -557,6 +580,8 @@ class ColumnarPipeline(PhysicalOp):
         self.table_columns = tuple(table_columns)
         self.pred = pred
         self.head_kind, self.head_node = head
+        #: δ stage after a project head (see the class docstring).
+        self.distinct = False
         #: Columns the post-selection stages read (gathered via the
         #: selection vector; everything else is never touched).
         self.head_columns = (
@@ -586,6 +611,8 @@ class ColumnarPipeline(PhysicalOp):
             stages.append(
                 "π[" + ", ".join(str(i) for i in self.head_node.items) + "]"
             )
+            if self.distinct:
+                stages.append("δ")
         elif self.head_kind in ("sort", "topn"):
             keys = ", ".join(str(k) for k in self._sort_node().keys)
             if self.head_kind == "topn":
@@ -698,23 +725,31 @@ class ColumnarPipeline(PhysicalOp):
         yield from self._emit_scan_rows(rows, order)
 
     def _project(self, head_cols, cols, sel, m: int, params):
-        node: Project = self.head_node
-        outputs = []
-        for item in node.items:
+        # One vector per output name; a repeated name keeps its first
+        # position and its last value, as the reference's row dict does.
+        outputs: dict[str, list] = {}
+        for item in self.head_node.items:
             kind, data = _veval(item.expr, head_cols, params)
-            outputs.append((item.output_name, kind, data))
+            outputs[item.output_name] = _broadcast(kind, data, m)
+        # Alias-qualified source columns pass through invisibly unless an
+        # output name shadows them — mirrors the reference's _project_row
+        # setdefault loop, decided once instead of per row.
         alias = self.alias
-        qualified = [(f"{alias}.{c}", cols[c]) for c in self.table_columns]
-        indices = range(m) if sel is None else sel
-        for j, src in enumerate(indices):
+        qualified = [
+            (qname, cols[c])
+            for c in self.table_columns
+            if (qname := f"{alias}.{c}") not in outputs
+        ]
+        pairs = enumerate(range(m) if sel is None else sel)
+        if self.distinct:
+            pairs = _first_occurrences(outputs, pairs)
+        vectors = list(outputs.items())
+        for j, src in pairs:
             result: Row = {}
-            for name, kind, data in outputs:
-                result[name] = data if kind == "c" else data[j]
-            # Alias-qualified source columns pass through invisibly —
-            # mirrors the reference's _project_row setdefault loop.
+            for name, vec in vectors:
+                result[name] = vec[j]
             for qname, column in qualified:
-                if qname not in result:
-                    result[qname] = column[src]
+                result[qname] = column[src]
             yield result
 
     def _aggregate(self, head_cols, m: int, params):

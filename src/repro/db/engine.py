@@ -61,6 +61,7 @@ from .types import (
     sql_compare,
     sql_not,
     sql_or,
+    to_display,
 )
 
 #: Engines `Database.execute` understands.
@@ -162,14 +163,21 @@ class Database:
         """Append ``rows`` as one write batch, the only write path.
 
         Each stored row has the catalog's columns in catalog order: missing
-        columns become NULL and unknown keys are dropped.  The batch is
+        columns become NULL and unknown keys are dropped.  A plain ``dict``
+        whose keys already are the catalog's columns in order is stored as
+        one ``dict(row)`` copy; any other row is re-keyed.  The batch is
         all-or-nothing: every stored row is built before the table is
         touched, so a malformed row leaves the table as it was.  A batch
         costs one invalidation; an empty one costs none and keeps the
         cached plans.
         """
         names = self._table(name).column_names()
-        stored = [{col: row.get(col) for col in names} for row in rows]
+        layout = tuple(names)
+        stored = [
+            dict(row) if type(row) is dict and tuple(row) == layout
+            else {col: row.get(col) for col in names}
+            for row in rows
+        ]
         if stored:
             self._tables[name.lower()].extend(stored)
             self._invalidate(name)
@@ -783,8 +791,6 @@ def _apply_func(name: str, args: list) -> Any:
     if upper == "CONCAT":
         # Render like Java string concatenation (the imperative code the
         # expression came from): lowercase booleans, "null" for NULL.
-        from ..interp.values import to_display
-
         return "".join(to_display(a) for a in args)
     if any(a is None for a in args):
         return None

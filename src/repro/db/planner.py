@@ -430,7 +430,11 @@ class Planner:
                 node, lambda child: SortOp(child, node), allow_columnar,
             )
         if isinstance(node, Distinct):
-            return DistinctOp(self._lower(node.child))
+            child = self._lower(node.child)
+            if isinstance(child, ColumnarPipeline) and child.head_kind == "project":
+                child.distinct = True  # δ runs inside the pipeline
+                return child
+            return DistinctOp(child)
         if isinstance(node, Limit):
             sort, count = node.child, node.count
             if isinstance(sort, Sort):

@@ -84,6 +84,19 @@ def sql_avg(values: list) -> Any:
     return sum(values) / len(values)
 
 
+def to_display(value: Any) -> str:
+    """Java-ish string conversion used by ``print``, string concat and the
+    SQL ``CONCAT`` that stands for it: lowercase booleans, ``null`` for
+    NULL, a whole double with one decimal."""
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float) and value.is_integer():
+        return f"{value:.1f}"
+    return str(value)
+
+
 #: Wire sizes of the fixed-width exact types (subclasses take the slow path).
 _FIXED_SIZES = {type(None): 1, bool: 1, int: 8, float: 8}
 

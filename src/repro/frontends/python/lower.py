@@ -85,12 +85,13 @@ class PythonParseError(FrontendError):
     """The source is not valid Python."""
 
 
+#: Python operators that mean what the shared (Java) ones do.  True
+#: division ``/`` and floor modulo ``%`` do not (``7 / 2`` is 3.5, ``-7 % 2``
+#: is 1), so like ``//`` they lower to the opaque call.
 _BINOPS = {
     ast.Add: "+",
     ast.Sub: "-",
     ast.Mult: "*",
-    ast.Div: "/",
-    ast.Mod: "%",
 }
 
 _COMPARES = {

@@ -10,6 +10,7 @@ run; every later run, by any :class:`Interpreter`, reuses them.
 
 from __future__ import annotations
 
+import math
 import operator
 import weakref
 from functools import partial
@@ -291,17 +292,32 @@ def _java_add(left: Any, right: Any) -> Any:
 
 
 def _java_div(left: Any, right: Any) -> Any:
+    """Java ``/``: integer division truncates toward zero and raises on a
+    zero divisor; with a double operand a zero divisor gives ±Infinity, or
+    NaN for a zero or NaN dividend."""
     if isinstance(left, int) and isinstance(right, int):
         if right == 0:
             raise InterpreterError("ArithmeticException: / by zero")
-        return left // right  # Java integer division
+        quotient = abs(left) // abs(right)
+        return quotient if (left < 0) == (right < 0) else -quotient
+    if right == 0:
+        if left == 0 or left != left:
+            return math.nan
+        return math.copysign(math.inf, left) * math.copysign(1.0, right)
     return left / right
 
 
 def _java_mod(left: Any, right: Any) -> Any:
-    if isinstance(left, int) and isinstance(right, int) and right == 0:
-        raise InterpreterError("ArithmeticException: / by zero")
-    return left % right
+    """Java ``%``: the remainder takes the dividend's sign (``math.fmod``);
+    an integer zero divisor raises, a double one gives NaN."""
+    if isinstance(left, int) and isinstance(right, int):
+        if right == 0:
+            raise InterpreterError("ArithmeticException: / by zero")
+        remainder = abs(left) % abs(right)
+        return -remainder if left < 0 else remainder
+    if right == 0 or math.isinf(left):
+        return math.nan
+    return math.fmod(left, right)
 
 
 def _java_parse(convert: Callable[[Any], Any]) -> Callable[[list[Any]], Any]:

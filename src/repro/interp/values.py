@@ -10,7 +10,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Any
 
-from ..db.types import Row
+from ..db.types import Row, to_display
 
 
 class Entity:
@@ -109,14 +109,3 @@ class StringBuilder:
 
     def __repr__(self) -> str:
         return f"StringBuilder({self.to_string()!r})"
-
-
-def to_display(value: Any) -> str:
-    """Java-ish string conversion used by ``print`` and string concat."""
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float) and value.is_integer():
-        return f"{value:.1f}"
-    return str(value)

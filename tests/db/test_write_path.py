@@ -94,6 +94,37 @@ def test_clearing_an_unknown_table_raises_the_catalog_error():
     assert "nope" not in db.catalog
 
 
+class _Row(dict):
+    """A ``dict`` subclass: re-keyed like any row that is not a plain dict."""
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        {"id": 1, "a": 2, "b": 3},  # catalog order: one dict copy
+        {"b": 3, "id": 1, "a": 2},
+        {"id": 1, "a": 2, "b": 3, "extra": 4},
+        {"id": 1, "a": 2},
+        _Row(id=1, a=2, b=3),
+        _Row(b=3, a=2),
+    ],
+    ids=["catalog-order", "reordered", "extra-key", "missing-key",
+         "subclass", "subclass-reordered"],
+)
+def test_copied_and_rekeyed_rows_are_stored_alike(row):
+    row = type(row)(row)  # mutated below
+    db = _db()
+    db.insert_many("t", [row, dict(row)])
+    expected = {c: row.get(c) for c in COLUMNS}
+    assert db.rows("t") == [expected, expected]
+    for stored in db.rows("t"):
+        assert type(stored) is dict and list(stored) == COLUMNS
+        assert stored is not row
+    assert _index(db) == {row.get("a"): [tuple(expected.items())] * 2}
+    row["a"] = "changed"  # the table keeps its own copies
+    assert db.rows("t") == [expected, expected]
+
+
 @pytest.mark.parametrize("bad", [None, 7, ["id", 1]])
 def test_malformed_row_mid_batch_leaves_the_table_unchanged(bad):
     db = _db()
@@ -101,7 +132,9 @@ def test_malformed_row_mid_batch_leaves_the_table_unchanged(bad):
     plan = db.plan(QUERY)
     before, index, epoch = list(db.rows("t")), _index(db), db._stats_epoch
     with pytest.raises(AttributeError):
-        db.insert_many("t", [{"id": 2, "a": 1}, bad, {"id": 3, "a": 1}])
+        db.insert_many(
+            "t", [{"id": 2, "a": 1, "b": None}, {"id": 3, "a": 1}, bad, {"id": 4}]
+        )
     assert db.rows("t") == before
     assert _index(db) == index
     assert db._stats_epoch == epoch

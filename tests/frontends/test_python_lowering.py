@@ -2,12 +2,14 @@
 
 import pytest
 
+from repro.db import Connection, Database
 from repro.frontends.python import (
     OPAQUE_CALL,
     PythonParseError,
     parse_python,
     unparse_python_program,
 )
+from repro.interp import Interpreter, InterpreterError
 from repro.lang import (
     Assign,
     Binary,
@@ -136,6 +138,23 @@ class TestControlFlowAndFallbacks:
         stmt = first_stmt("def f(x):\n    x += 1\n")
         assert isinstance(stmt, Assign)
         assert isinstance(stmt.value, Binary) and stmt.value.op == "+"
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "def f(a, b):\n    return a / b\n",
+            "def f(a, b):\n    return a % b\n",
+            "def f(a, b):\n    a /= b\n    return a\n",
+            "def f(a, b):\n    a %= b\n    return a\n",
+        ],
+    )
+    def test_true_division_and_modulo_are_opaque(self, source):
+        # Python's ``/`` and ``%`` are not Java's: 7 / 2 is 3.5, not 3.
+        program = parse_python(source)
+        value = program.functions[0].body.statements[0].value
+        assert isinstance(value, Call) and value.func == OPAQUE_CALL
+        with pytest.raises(InterpreterError, match=OPAQUE_CALL):
+            Interpreter(program, Connection(Database())).run("f", 7, 2)
 
     def test_dict_store_becomes_put(self):
         stmt = first_stmt("def f(d, k, v):\n    d[k] = v\n")

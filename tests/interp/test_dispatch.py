@@ -9,6 +9,8 @@ step budget charges one step per statement, per expression and per
 stops one step short of them.
 """
 
+import math
+
 import pytest
 
 from repro.db import Connection
@@ -175,3 +177,37 @@ def test_step_budget_is_exact(case, database):
 def test_numeric_receivers(source, value, database):
     interp = Interpreter(parse_program(source), Connection(database))
     assert interp.run("main") == value
+
+
+# Java arithmetic: integer ``/`` and ``%`` truncate toward zero; with a
+# double operand a zero divisor gives Infinity or NaN instead of raising,
+# and ``%`` keeps the dividend's sign.
+@pytest.mark.parametrize(
+    "expr, value",
+    [
+        ("-7 / 2", -3),
+        ("7 / -2", -3),
+        ("-7 / -2", 3),
+        ("7 / 2", 3),
+        ("-7 % 2", -1),
+        ("7 % -2", 1),
+        ("-7 % -2", -1),
+        ("7 % 2", 1),
+        ("7 / 2.0", 3.5),
+        ("1.0 / 0", math.inf),
+        ("-1.0 / 0", -math.inf),
+        ("1 / 0.0", math.inf),
+        ("-7.5 % 2", -1.5),
+        ("7.5 % -2", 1.5),
+    ],
+)
+def test_java_division_and_remainder(expr, value, database):
+    program = parse_program(f"main() {{ return {expr}; }}")
+    result = Interpreter(program, Connection(database)).run("main")
+    assert result == value and type(result) is type(value)
+
+
+@pytest.mark.parametrize("expr", ["0.0 / 0", "0 / 0.0", "7.5 % 0", "7 % 0.0"])
+def test_double_zero_divisor_gives_nan(expr, database):
+    program = parse_program(f"main() {{ return {expr}; }}")
+    assert math.isnan(Interpreter(program, Connection(database)).run("main"))

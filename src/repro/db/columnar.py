@@ -2,14 +2,14 @@
 pipelines, sort/top-N heads, and vectorized hash/semi/anti joins.
 
 Row-at-a-time execution pays a per-row toll the hot paths never need: every
-scanned row is copied into a fresh dict with alias-qualified keys, and every
-predicate/aggregate argument is re-evaluated by a recursive tree walk with
-per-node ``isinstance`` dispatch.  This module executes the same plans over
-*column arrays* instead:
+scanned row is copied into a fresh dict of the names read above it, and
+every predicate/aggregate argument is re-evaluated by a recursive tree walk
+with per-node ``isinstance`` dispatch.  This module executes the same plans
+over *column arrays* instead:
 
-* :meth:`Database.columns` caches each base table transposed into
-  ``{column: [values...]}`` arrays (invalidated by the same dirty-marking
-  that rebuilds hash indexes), so repeated queries share one transposition;
+* :meth:`Database.columns` caches each base table's ``column → [values]``
+  arrays, each transposed on first read (dropped by the same invalidation
+  that dirties hash indexes), so repeated queries share one transposition;
 * scalar expressions are evaluated **vector-at-a-time** (one tight list
   comprehension per operator node instead of one tree walk per row);
 * a selection predicate produces a **selection vector** (the list of
@@ -66,7 +66,7 @@ from ..algebra import (
     walk_scalar,
 )
 from .engine import EngineError, _apply_func, _hashable, _like_regex
-from .physical import ExecContext, PhysicalOp, _tuples_equal
+from .physical import ExecContext, PhysicalOp, _tuples_equal, scan_layout
 from .types import (
     Row,
     descending_key,
@@ -93,12 +93,14 @@ _CMP = {
     ">=": operator.ge,
 }
 
+#: NULL-propagating binary operators (``||`` included).
 _ARITH = {
     "+": operator.add,
     "-": operator.sub,
     "*": operator.mul,
     "/": operator.truediv,
     "%": operator.mod,
+    "||": lambda a, b: str(a) + str(b),
 }
 
 #: Scalar functions the vector evaluator accepts — exactly the set
@@ -310,10 +312,12 @@ def _gather_cols(expr: ScalarExpr, cols: dict, idx: list[int]) -> dict:
         for key in keys:
             if key in sub:
                 break
-            column = cols.get(key)
-            if column is not None:
-                sub[key] = [column[i] for i in idx]
-                break
+            try:
+                column = cols[key]
+            except KeyError:
+                continue
+            sub[key] = [column[i] for i in idx]
+            break
     return sub
 
 
@@ -322,22 +326,15 @@ def _veval_binop(expr: BinOp, cols: dict, params: dict) -> tuple[str, Any]:
     lk, lv = _veval(expr.left, cols, params)
     rk, rv = _veval(expr.right, cols, params)
 
-    if op == "AND":
+    if op in ("AND", "OR"):
+        fn = sql_and if op == "AND" else sql_or
         if lk == "c" and rk == "c":
-            return "c", sql_and(lv, rv)
+            return "c", fn(lv, rv)
         if lk == "c":
-            return "v", [sql_and(lv, b) for b in rv]
+            return "v", [fn(lv, b) for b in rv]
         if rk == "c":
-            return "v", [sql_and(a, rv) for a in lv]
-        return "v", [sql_and(a, b) for a, b in zip(lv, rv)]
-    if op == "OR":
-        if lk == "c" and rk == "c":
-            return "c", sql_or(lv, rv)
-        if lk == "c":
-            return "v", [sql_or(lv, b) for b in rv]
-        if rk == "c":
-            return "v", [sql_or(a, rv) for a in lv]
-        return "v", [sql_or(a, b) for a, b in zip(lv, rv)]
+            return "v", [fn(a, rv) for a in lv]
+        return "v", [fn(a, b) for a, b in zip(lv, rv)]
 
     fn = _CMP.get(op)
     if fn is None:
@@ -359,24 +356,6 @@ def _veval_binop(expr: BinOp, cols: dict, params: dict) -> tuple[str, Any]:
             return "v", [None if a is None else fn(a, b) for a in lv]
         return "v", [
             None if a is None or b is None else fn(a, b) for a, b in zip(lv, rv)
-        ]
-
-    if op == "||":
-        if lk == "c" and rk == "c":
-            return "c", None if lv is None or rv is None else str(lv) + str(rv)
-        if lk == "c":
-            if lv is None:
-                return "c", None
-            a = str(lv)
-            return "v", [None if b is None else a + str(b) for b in rv]
-        if rk == "c":
-            if rv is None:
-                return "c", None
-            b = str(rv)
-            return "v", [None if a is None else str(a) + b for a in lv]
-        return "v", [
-            None if a is None or b is None else str(a) + str(b)
-            for a, b in zip(lv, rv)
         ]
 
     if op == "LIKE":
@@ -414,6 +393,23 @@ def _broadcast(kind: str, data, n: int) -> list:
     return data if kind == "v" else [data] * n
 
 
+def _gather(cols, names, sel: list[int]) -> dict:
+    """The columns ``names`` of a namespace, restricted to the rows in
+    ``sel`` — asked for by name, so a lazily built namespace builds only
+    those."""
+    return {name: list(map(cols[name].__getitem__, sel)) for name in names}
+
+
+def _keyed_side(cols, n: int, pred, key_columns, keys, params: dict):
+    """One join side: the ids of its rows ``pred`` selects (of ``n``) and
+    each key expression's vector over them, gathered from ``key_columns``."""
+    sel = _selection(pred, cols, params)
+    if sel is None:
+        return range(n), [_broadcast(*_veval(e, cols, params), n) for e in keys]
+    ns = _gather(cols, key_columns, sel)
+    return sel, [_broadcast(*_veval(e, ns, params), len(sel)) for e in keys]
+
+
 def _selection(pred, cols: dict, params: dict) -> list[int] | None:
     """Evaluate a selection predicate over full-length columns; returns the
     selection vector, or ``None`` meaning every row is selected."""
@@ -429,51 +425,28 @@ def _selection(pred, cols: dict, params: dict) -> list[int] | None:
 # Grouping and folds
 
 
-def _group_ids(vec: list) -> tuple[list[int], list]:
-    """Assign a dense group id per row; returns (ids, first-seen keys)."""
+def _dense_ids(keys) -> tuple[list[int], list]:
     gid: dict = {}
     gids: list[int] = []
-    get = gid.get
-    append = gids.append
-    try:
-        for v in vec:
-            g = get(v, -1)
-            if g < 0:
-                g = gid[v] = len(gid)
-            append(g)
-    except TypeError:  # unhashable group value: retry via _hashable
-        gid.clear()
-        gids.clear()
-        get = gid.get
-        append = gids.append
-        for v in vec:
-            h = _hashable(v)
-            g = get(h, -1)
-            if g < 0:
-                g = gid[h] = len(gid)
-            append(g)
+    for key in keys:
+        g = gid.get(key, -1)
+        if g < 0:
+            g = gid[key] = len(gid)
+        gids.append(g)
     return gids, list(gid)
 
 
-def _group_ids_multi(vecs: list[list]) -> tuple[list[int], list]:
-    gid: dict = {}
-    gids: list[int] = []
+def _group_ids(vecs: list[list]) -> tuple[list[int], list]:
+    """Assign a dense group id per row of the group-key vectors; returns
+    (ids, first-seen keys), a key being a value for one vector and a tuple
+    for several."""
+    keys = vecs[0] if len(vecs) == 1 else list(zip(*vecs))
     try:
-        for key in zip(*vecs):
-            g = gid.get(key, -1)
-            if g < 0:
-                g = gid[key] = len(gid)
-            gids.append(g)
-    except TypeError:
-        gid.clear()
-        gids.clear()
-        for key in zip(*vecs):
-            h = tuple(_hashable(v) for v in key)
-            g = gid.get(h, -1)
-            if g < 0:
-                g = gid[h] = len(gid)
-            gids.append(g)
-    return gids, list(gid)
+        return _dense_ids(keys)
+    except TypeError:  # unhashable group value: key on _hashable instead
+        if len(vecs) == 1:
+            return _dense_ids(map(_hashable, keys))
+        return _dense_ids(tuple(map(_hashable, key)) for key in keys)
 
 
 def _fold(func: str, gids: list[int], ngroups: int, vec: list) -> list:
@@ -560,8 +533,9 @@ class ColumnarPipeline(PhysicalOp):
     ``Distinct`` into the pipeline): duplicates are dropped on the output
     vectors, so only the kept rows are built.  The row↔column boundary
     sits at this operator's output: whatever consumes it (a hash join's
-    build side, a sort, the client) sees ordinary row dicts, bit-identical
-    to the row-at-a-time plan's.
+    build side, a sort, the client) sees ordinary row dicts holding the
+    names in ``keep`` — the ones the planner found read above — exactly as
+    the row-at-a-time plan's.
     """
 
     label = "Columnar"
@@ -573,7 +547,8 @@ class ColumnarPipeline(PhysicalOp):
         table_columns: tuple[str, ...],
         pred: ScalarExpr | None,
         head: tuple[str, Any],
-        head_exprs=(),
+        head_exprs,
+        keep: frozenset[str],
     ):
         self.name = name
         self.alias = alias or name
@@ -584,11 +559,10 @@ class ColumnarPipeline(PhysicalOp):
         self.distinct = False
         #: Columns the post-selection stages read (gathered via the
         #: selection vector; everything else is never touched).
-        self.head_columns = (
-            set(self.table_columns)
-            if self.head_kind == "filter"
-            else used_columns(head_exprs)
-        )
+        self.head_columns = used_columns(head_exprs)
+        self.keep = keep
+        #: What a filter or sort head emits of each scanned row.
+        self.layout = scan_layout(self.alias, self.table_columns, keep)
 
     def _sort_node(self) -> Sort:
         return self.head_node[0] if self.head_kind == "topn" else self.head_node
@@ -633,22 +607,9 @@ class ColumnarPipeline(PhysicalOp):
         cols = db.columns(self.name)
         ctx.probed[id(self)] = ctx.probed.get(id(self), 0) + n
         params = ctx.params
-
-        sel: list[int] | None = None  # None = every row selected
-        if self.pred is not None:
-            kind, data = _veval(self.pred, cols, params)
-            if kind == "c":
-                if data is not True:
-                    sel = []
-            else:
-                sel = [i for i, v in enumerate(data) if v is True]
-
+        sel = _selection(self.pred, cols, params)  # None = every row selected
         if self.head_kind == "filter":
             yield from self._emit_scan_rows(rows, sel)
-            return
-
-        if self.head_kind in ("sort", "topn"):
-            yield from self._order(rows, cols, sel, params)
             return
 
         # Gather only the columns the head reads, restricted to selected
@@ -658,14 +619,12 @@ class ColumnarPipeline(PhysicalOp):
         if sel is None:
             head_cols, m = cols, n
         else:
-            head_cols = {
-                name: [column[i] for i in sel]
-                for name, column in cols.items()
-                if name in self.head_columns
-            }
+            head_cols = _gather(cols, self.head_columns, sel)
             m = len(sel)
 
-        if self.head_kind == "aggregate":
+        if self.head_kind in ("sort", "topn"):
+            yield from self._order(rows, head_cols, sel, m, params)
+        elif self.head_kind == "aggregate":
             yield from self._aggregate(head_cols, m, params)
         else:
             yield from self._project(head_cols, cols, sel, m, params)
@@ -673,18 +632,15 @@ class ColumnarPipeline(PhysicalOp):
     # ------------------------------------------------------------------
 
     def _emit_scan_rows(self, rows: list[Row], sel: list[int] | None):
-        """Row boundary for filter-only pipelines: emit exactly what
-        ``FilterOp(SeqScan)`` would."""
-        alias = self.alias
+        """Row boundary for filter and sort heads: each selected scan row
+        with the names of :attr:`layout`."""
+        layout = self.layout
         indices = range(len(rows)) if sel is None else sel
         for i in indices:
             row = rows[i]
-            copy = dict(row)
-            for column, value in row.items():
-                copy[f"{alias}.{column}"] = value
-            yield copy
+            yield {out: row[src] for out, src in layout}
 
-    def _order(self, rows, cols, sel, params):
+    def _order(self, rows, key_cols, sel, m: int, params):
         """Sort (or heap top-N) an index permutation by vectorized keys,
         then emit the scan rows in that order.
 
@@ -699,15 +655,6 @@ class ColumnarPipeline(PhysicalOp):
             node, count = self.head_node
         else:
             node, count = self.head_node, None
-        m = len(rows) if sel is None else len(sel)
-        if sel is None:
-            key_cols = cols
-        else:
-            key_cols = {
-                name: [column[i] for i in sel]
-                for name, column in cols.items()
-                if name in self.head_columns
-            }
         key_vecs = []
         for key in node.keys:
             vec = _broadcast(*_veval(key.expr, key_cols, params), m)
@@ -731,19 +678,19 @@ class ColumnarPipeline(PhysicalOp):
         for item in self.head_node.items:
             kind, data = _veval(item.expr, head_cols, params)
             outputs[item.output_name] = _broadcast(kind, data, m)
-        # Alias-qualified source columns pass through invisibly unless an
-        # output name shadows them — mirrors the reference's _project_row
-        # setdefault loop, decided once instead of per row.
-        alias = self.alias
+        # The alias-qualified source columns asked for pass through unless
+        # an output name shadows them — mirrors the reference's
+        # _project_row setdefault loop, decided once instead of per row.
+        keep = self.keep
         qualified = [
-            (qname, cols[c])
-            for c in self.table_columns
-            if (qname := f"{alias}.{c}") not in outputs
+            (qname, cols[src])
+            for qname, src in self.layout
+            if "." in qname and qname not in outputs
         ]
         pairs = enumerate(range(m) if sel is None else sel)
         if self.distinct:
             pairs = _first_occurrences(outputs, pairs)
-        vectors = list(outputs.items())
+        vectors = [(name, vec) for name, vec in outputs.items() if name in keep]
         for j, src in pairs:
             result: Row = {}
             for name, vec in vectors:
@@ -772,12 +719,8 @@ class ColumnarPipeline(PhysicalOp):
         group_vecs = [
             _broadcast(*_veval(g, head_cols, params), m) for g in node.group_by
         ]
-        if len(group_vecs) == 1:
-            gids, keys = _group_ids(group_vecs[0])
-            single = True
-        else:
-            gids, keys = _group_ids_multi(group_vecs)
-            single = False
+        gids, keys = _group_ids(group_vecs)
+        single = len(group_vecs) == 1
         ngroups = len(keys)
 
         folded = []
@@ -847,6 +790,7 @@ class ColumnarHashJoin(PhysicalOp):
         residual,
         layout,
         fallback: PhysicalOp,
+        keep: frozenset[str],
     ):
         self.node = node
         self.left_name, self.left_alias, left_columns, self.left_pred = left_side
@@ -863,12 +807,11 @@ class ColumnarHashJoin(PhysicalOp):
         self.residual = residual
         self.layout = dict(layout)
         self.fallback = fallback
-        self.left_qnames = tuple(
-            f"{self.left_alias}.{c}" for c in self.left_columns
-        )
-        self.right_qnames = tuple(
-            f"{self.right_alias}.{c}" for c in self.right_columns
-        )
+        #: Each side's emitted names (see :func:`scan_layout`), cut to
+        #: ``keep``: a name on both sides takes the right side's position
+        #: and the left side's value, as in ``{**right, **left}``.
+        self.left_layout = scan_layout(self.left_alias, self.left_columns, keep)
+        self.right_layout = scan_layout(self.right_alias, self.right_columns, keep)
         self.left_key_columns = used_columns(self.left_keys)
         self.right_key_columns = used_columns(self.right_keys)
 
@@ -902,34 +845,22 @@ class ColumnarHashJoin(PhysicalOp):
 
         # Build (right) side first — the same phase order as the row hash
         # join, which materializes its right child before streaming left.
-        rsel = _selection(self.right_pred, right_cols, params)
-        ridx = range(nr) if rsel is None else rsel
-        mr = nr if rsel is None else len(rsel)
-        if rsel is None:
-            rkey_ns = right_cols
-        else:
-            rkey_ns = {
-                name: [column[i] for i in rsel]
-                for name, column in right_cols.items()
-                if name in self.right_key_columns
-            }
-        rkey_vecs = [
-            _broadcast(*_veval(e, rkey_ns, params), mr) for e in self.right_keys
-        ]
+        ridx, rkey_vecs = _keyed_side(
+            right_cols, nr, self.right_pred, self.right_key_columns, self.right_keys, params
+        )
+        # One key per row: a value for one key expression, a tuple for
+        # several (NULL anywhere in it never matches).
         single = len(rkey_vecs) == 1
+        rkeys = rkey_vecs[0] if single else list(zip(*rkey_vecs))
+
+        def null(key) -> bool:
+            return key is None if single else any(v is None for v in key)
+
         table: dict = {}
         try:
-            if single:
-                vec = rkey_vecs[0]
-                for j, orig in enumerate(ridx):
-                    key = vec[j]
-                    if key is not None:
-                        table.setdefault(key, []).append(orig)
-            else:
-                for j, orig in enumerate(ridx):
-                    key = tuple(vec[j] for vec in rkey_vecs)
-                    if not any(v is None for v in key):
-                        table.setdefault(key, []).append(orig)
+            for key, orig in zip(rkeys, ridx):
+                if not null(key):
+                    table.setdefault(key, []).append(orig)
         except TypeError:
             # Unhashable join key: degrade exactly like the row hash join.
             yield from self.fallback.execute(ctx, outer)
@@ -937,109 +868,64 @@ class ColumnarHashJoin(PhysicalOp):
         ctx.probed[id(self)] = ctx.probed.get(id(self), 0) + nl + nr
 
         # Probe (left) side.
-        lsel = _selection(self.left_pred, left_cols, params)
-        lidx = range(nl) if lsel is None else lsel
-        ml = nl if lsel is None else len(lsel)
-        if lsel is None:
-            lkey_ns = left_cols
-        else:
-            lkey_ns = {
-                name: [column[i] for i in lsel]
-                for name, column in left_cols.items()
-                if name in self.left_key_columns
-            }
-        lkey_vecs = [
-            _broadcast(*_veval(e, lkey_ns, params), ml) for e in self.left_keys
-        ]
-
-        left_emit = [(c, left_cols[c]) for c in self.left_columns] + [
-            (q, left_cols[c])
-            for q, c in zip(self.left_qnames, self.left_columns)
-        ]
-        right_emit = [(c, right_cols[c]) for c in self.right_columns] + [
-            (q, right_cols[c])
-            for q, c in zip(self.right_qnames, self.right_columns)
-        ]
-        pad_names = self.right_columns + self.right_qnames
-        left_kind = self.node.kind == "left"
+        lidx, lkey_vecs = _keyed_side(
+            left_cols, nl, self.left_pred, self.left_key_columns, self.left_keys, params
+        )
+        lkeys = lkey_vecs[0] if single else list(zip(*lkey_vecs))
 
         def bucket_for(j: int):
-            if single:
-                key = lkey_vecs[0][j]
-                if key is None:
-                    return ()
-                try:
-                    return table.get(key, ())
-                except TypeError:
-                    rvec = rkey_vecs[0]
-                    return [
-                        orig
-                        for jj, orig in enumerate(ridx)
-                        if sql_compare("=", key, rvec[jj]) is True
-                    ]
-            key = tuple(vec[j] for vec in lkey_vecs)
-            if any(v is None for v in key):
+            key = lkeys[j]
+            if null(key):
                 return ()
             try:
                 return table.get(key, ())
             except TypeError:
+                wrap = (lambda k: (k,)) if single else tuple
                 return [
                     orig
-                    for jj, orig in enumerate(ridx)
-                    if all(
-                        sql_compare("=", kv, vec[jj]) is True
-                        for kv, vec in zip(key, rkey_vecs)
-                    )
+                    for rkey, orig in zip(rkeys, ridx)
+                    if _tuples_equal(wrap(key), wrap(rkey))
                 ]
 
         if self.residual is None:
+            matches = ((li, bucket_for(j)) for j, li in enumerate(lidx))
+        else:
+            # Residual conjuncts: collect every candidate pair left-major
+            # (the emission order), then evaluate the residual once as a
+            # vector over the pair namespace instead of once per pair.
+            pair_left: list[int] = []
+            pair_right: list[int] = []
+            spans: list[tuple[int, int, int]] = []
             for j, li in enumerate(lidx):
-                matched = False
+                start = len(pair_right)
                 for ri in bucket_for(j):
-                    row = {name: column[ri] for name, column in right_emit}
-                    for name, column in left_emit:
-                        row[name] = column[li]
-                    matched = True
-                    yield row
-                if left_kind and not matched:
-                    row = {name: column[li] for name, column in left_emit}
-                    for name in pad_names:
-                        row.setdefault(name, None)
-                    yield row
-            return
+                    pair_left.append(li)
+                    pair_right.append(ri)
+                spans.append((li, start, len(pair_right)))
+            ns = {
+                key: [
+                    (left_cols if side == "left" else right_cols)[column][i]
+                    for i in (pair_left if side == "left" else pair_right)
+                ]
+                for key, (side, column) in self.layout.items()
+            }
+            keep = _broadcast(*_veval(self.residual, ns, params), len(pair_right))
+            matches = (
+                (li, [pair_right[p] for p in range(start, end) if keep[p] is True])
+                for li, start, end in spans
+            )
 
-        # Residual conjuncts: collect every candidate pair left-major (the
-        # emission order), then evaluate the residual once as a vector over
-        # the pair namespace instead of once per pair.
-        pair_left: list[int] = []
-        pair_right: list[int] = []
-        spans: list[tuple[int, int, int]] = []
-        for j, li in enumerate(lidx):
-            start = len(pair_right)
-            for ri in bucket_for(j):
-                pair_left.append(li)
-                pair_right.append(ri)
-            spans.append((li, start, len(pair_right)))
-        npairs = len(pair_right)
-        ns = {
-            key: [
-                (left_cols if side == "left" else right_cols)[column][i]
-                for i in (pair_left if side == "left" else pair_right)
-            ]
-            for key, (side, column) in self.layout.items()
-        }
-        keep = _broadcast(*_veval(self.residual, ns, params), npairs)
-        for li, start, end in spans:
-            matched = False
-            for p in range(start, end):
-                if keep[p] is True:
-                    ri = pair_right[p]
-                    row = {name: column[ri] for name, column in right_emit}
-                    for name, column in left_emit:
-                        row[name] = column[li]
-                    matched = True
-                    yield row
-            if left_kind and not matched:
+        left_emit = [(out, left_cols[src]) for out, src in self.left_layout]
+        right_emit = [(out, right_cols[src]) for out, src in self.right_layout]
+        pad_names = [out for out, _ in self.right_layout]
+        left_kind = self.node.kind == "left"
+        for li, rights in matches:
+            for ri in rights:
+                row = {name: column[ri] for name, column in right_emit}
+                for name, column in left_emit:
+                    row[name] = column[li]
+                yield row
+            if left_kind and not rights:
                 row = {name: column[li] for name, column in left_emit}
                 for name in pad_names:
                     row.setdefault(name, None)
@@ -1070,6 +956,7 @@ class ColumnarSemiJoin(PhysicalOp):
         inner_keys,
         negated: bool,
         fallback: PhysicalOp,
+        keep: frozenset[str],
     ):
         (
             self.child_name,
@@ -1089,6 +976,8 @@ class ColumnarSemiJoin(PhysicalOp):
         self.inner_keys = tuple(inner_keys)
         self.negated = negated
         self.fallback = fallback
+        #: What the join emits of each kept child row (see :func:`scan_layout`).
+        self.layout = scan_layout(self.child_alias, self.child_columns, keep)
         self.outer_key_columns = used_columns(self.outer_keys)
         self.inner_key_columns = used_columns(self.inner_keys)
         if negated:
@@ -1116,23 +1005,12 @@ class ColumnarSemiJoin(PhysicalOp):
         params = ctx.params
         build_cols = db.columns(self.build_name)
 
-        bsel = _selection(self.build_pred, build_cols, params)
-        mb = nb if bsel is None else len(bsel)
-        if bsel is None:
-            bkey_ns = build_cols
-        else:
-            bkey_ns = {
-                name: [column[i] for i in bsel]
-                for name, column in build_cols.items()
-                if name in self.inner_key_columns
-            }
-        bkey_vecs = [
-            _broadcast(*_veval(e, bkey_ns, params), mb) for e in self.inner_keys
-        ]
+        _, bkey_vecs = _keyed_side(
+            build_cols, nb, self.build_pred, self.inner_key_columns, self.inner_keys, params
+        )
         keys: set = set()
         try:
-            for j in range(mb):
-                key = tuple(vec[j] for vec in bkey_vecs)
+            for key in zip(*bkey_vecs):
                 if not any(v is None for v in key):
                     keys.add(key)
         except TypeError:
@@ -1140,26 +1018,13 @@ class ColumnarSemiJoin(PhysicalOp):
             return
         ctx.probed[id(self)] = ctx.probed.get(id(self), 0) + nc + nb
 
-        child_cols = db.columns(self.child_name)
-        csel = _selection(self.child_pred, child_cols, params)
-        cidx = range(nc) if csel is None else csel
-        mc = nc if csel is None else len(csel)
-        if csel is None:
-            ckey_ns = child_cols
-        else:
-            ckey_ns = {
-                name: [column[i] for i in csel]
-                for name, column in child_cols.items()
-                if name in self.outer_key_columns
-            }
-        ckey_vecs = [
-            _broadcast(*_veval(e, ckey_ns, params), mc) for e in self.outer_keys
-        ]
-
+        cidx, ckey_vecs = _keyed_side(
+            db.columns(self.child_name), nc, self.child_pred, self.outer_key_columns,
+            self.outer_keys, params,
+        )
         negated = self.negated
-        alias = self.child_alias
-        for j, ci in enumerate(cidx):
-            key = tuple(vec[j] for vec in ckey_vecs)
+        layout = self.layout
+        for key, ci in zip(zip(*ckey_vecs), cidx):
             if any(v is None for v in key):
                 hit = False
             else:
@@ -1169,7 +1034,4 @@ class ColumnarSemiJoin(PhysicalOp):
                     hit = any(_tuples_equal(key, k) for k in keys)
             if (not hit) if negated else hit:
                 row = child_rows[ci]
-                copy = dict(row)
-                for column, value in row.items():
-                    copy[f"{alias}.{column}"] = value
-                yield copy
+                yield {out: row[src] for out, src in layout}

@@ -131,7 +131,7 @@ class Connection:
         columns: list[str] = []
         for row in rows:
             for column in row:
-                if "." not in column and column not in columns:
+                if column not in columns:
                     columns.append(column)
         self.database.create_table(name, columns or ["val"])
         self.database.insert_many(name, rows)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
+from operator import itemgetter
 from typing import Any
 
 from ..algebra import (
@@ -52,6 +53,7 @@ from ..algebra import (
     UnOp,
 )
 from .types import (
+    LazyColumns,
     Row,
     descending_key,
     is_truthy,
@@ -123,7 +125,7 @@ class Database:
         #: because no variant's estimates held for the new slot values.
         self.plan_cache_replans = 0
         #: Cached column arrays per table (columnar execution reads these).
-        self._columns: dict[str, dict[str, list]] = {}
+        self._columns: dict[str, LazyColumns] = {}
         #: Cached statistics per table (built lazily from the column cache).
         self._table_stats: dict[str, Any] = {}
         #: Bumped by every invalidation; keys the plan cache and tells any
@@ -276,27 +278,26 @@ class Database:
     # ------------------------------------------------------------------
     # Columnar storage and statistics
 
-    def columns(self, name: str) -> dict[str, list]:
-        """Return ``name``'s rows transposed into column arrays.
+    def columns(self, name: str) -> LazyColumns:
+        """Return ``name``'s rows as column arrays, each transposed on its
+        first read (``columns[c]``), so a plan pays only for the columns it
+        reads.
 
-        The transposition is cached and invalidated by the same
-        dirty-marking that rebuilds hash indexes, so repeated columnar
-        executions and statistics builds share one pass over the rows.
-        The arrays are shared — callers must not mutate them.
+        The arrays are cached and dropped by the same invalidation that
+        dirties hash indexes, so repeated columnar executions share one
+        transposition per column and write batch.  They are built from the
+        rows of that batch, never a later one's, and shared — callers must
+        not mutate them.
         """
         lowered = name.lower()
         cached = self._columns.get(lowered)
-        if cached is not None:
-            return cached
-        rows = self.rows(name)
-        names = (
-            self.catalog.get(name).column_names()
-            if name in self.catalog
-            else sorted({c for row in rows for c in row})
-        )
-        columns = {column: [row.get(column) for row in rows] for column in names}
-        self._columns[lowered] = columns
-        return columns
+        if cached is None:
+            rows = tuple(self.rows(name))
+            cached = self._columns[lowered] = LazyColumns(
+                self._table(name).column_names(),
+                lambda column: list(map(itemgetter(column), rows)),
+            )
+        return cached
 
     def stats(self, name: str, sample: int | None = None):
         """Return the :class:`~repro.db.stats.TableStats` for a base table.
@@ -422,10 +423,15 @@ class Database:
         engine: str | None = None,
     ) -> tuple[list[Row], dict | None]:
         """Like :meth:`execute` but also returns the executed physical
-        plan's ``explain()`` tree (``None`` for the reference engine)."""
+        plan's ``explain()`` tree (``None`` for the reference engine).
+
+        Every engine returns plain rows: a row's names without a ".".  The
+        planned engine drops the alias-qualified names inside the plan,
+        where no operator above reads them; the reference evaluator keeps
+        them, and its rows are cut here, at the client boundary."""
         engine = engine or self.default_engine
         if engine == "reference":
-            return ReferenceEvaluator(self, params or {}).eval_rel(query), None
+            return _plain_rows(ReferenceEvaluator(self, params or {}).eval_rel(query)), None
         if engine not in ENGINES:
             raise EngineError(f"unknown engine {engine!r}")
 
@@ -438,7 +444,7 @@ class Database:
         if explain is not None:
             explain["plan_search"] = self.last_plan_search
         if engine == "both":
-            reference = ReferenceEvaluator(self, params or {}).eval_rel(query)
+            reference = _plain_rows(ReferenceEvaluator(self, params or {}).eval_rel(query))
             if rows != reference:
                 raise EngineDivergenceError(
                     f"planned and reference engines disagree on {query}:\n"
@@ -768,10 +774,6 @@ class ReferenceEvaluator:
         return _apply_func(expr.name, args)
 
 
-#: Backwards-compatible private alias (pre-planner name).
-_Evaluator = ReferenceEvaluator
-
-
 def _apply_func(name: str, args: list) -> Any:
     """Evaluate one scalar function call on already-evaluated arguments.
 
@@ -817,6 +819,12 @@ def _apply_func(name: str, args: list) -> Any:
         digits = int(args[1]) if len(args) > 1 else 0
         return round(args[0], digits)
     raise EngineError(f"unknown scalar function {name!r}")
+
+
+def _plain_rows(rows: list[Row]) -> list[Row]:
+    """``rows`` as the client receives them: each without its
+    alias-qualified names (any name holding a ".")."""
+    return [{k: v for k, v in row.items() if "." not in k} for row in rows]
 
 
 def _plan_uses_columnar(plan) -> bool:

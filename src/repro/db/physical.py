@@ -25,7 +25,7 @@ from heapq import nsmallest
 from itertools import islice
 from typing import Any, Iterator
 
-from ..algebra import AggCall, Aggregate, Join, OuterApply, Project, RelExpr, Sort
+from ..algebra import AggCall, Aggregate, Col, Join, OuterApply, Project, RelExpr, Sort
 from .engine import (
     Database,
     ReferenceEvaluator,
@@ -88,6 +88,9 @@ class PhysicalOp:
     """One node of a physical plan."""
 
     label = "op"
+    #: Names this operator's rows are cut to, set by the planner when the
+    #: operator may produce keys nobody above it reads (``None``: as built).
+    trim: frozenset[str] | None = None
 
     def children(self) -> tuple["PhysicalOp", ...]:
         return ()
@@ -99,6 +102,9 @@ class PhysicalOp:
         """Yield result rows, tracking the operator's output cardinality."""
         produced = 0
         iterator = self._rows(ctx, outer)
+        trim = self.trim
+        if trim is not None:
+            iterator = ({k: v for k, v in row.items() if k in trim} for row in iterator)
         try:
             for row in iterator:
                 produced += 1
@@ -144,14 +150,26 @@ def total_scanned(explain: dict) -> int:
 # Scans
 
 
+def scan_layout(alias: str, columns, keep=None) -> tuple[tuple[str, str], ...]:
+    """The ``(output key, stored column)`` pairs a scan of a table with
+    ``columns`` emits: each column under its bare and its alias-qualified
+    name, in that order, cut to the names in ``keep`` (all without one)."""
+    pairs = [(c, c) for c in columns] + [(f"{alias}.{c}", c) for c in columns]
+    return tuple(pair for pair in pairs if keep is None or pair[0] in keep)
+
+
 class SeqScan(PhysicalOp):
-    """Full scan of a base table, adding alias-qualified keys."""
+    """Full scan of a base table.  Each row holds the names in ``layout``
+    (see :func:`scan_layout`): the planner's cut of the bare and
+    alias-qualified columns to the ones some operator above reads or the
+    client receives."""
 
     label = "SeqScan"
 
-    def __init__(self, name: str, alias: str | None):
+    def __init__(self, name: str, alias: str | None, layout):
         self.name = name
         self.alias = alias or name
+        self.layout = layout
 
     def detail(self) -> str:
         if self.alias != self.name:
@@ -162,12 +180,10 @@ class SeqScan(PhysicalOp):
         return ctx.rows_out.get(id(self), 0)
 
     def _rows(self, ctx: ExecContext, outer: Row | None) -> Iterator[Row]:
-        alias = self.alias
-        for row in ctx.db.rows(self.name):
-            copy = dict(row)
-            for column, value in row.items():
-                copy[f"{alias}.{column}"] = value
-            yield copy
+        rows = ctx.db.rows(self.name)  # an unknown table (no layout) raises
+        layout = self.layout
+        for row in rows:
+            yield {out: row[src] for out, src in layout}
 
 
 class IndexLookup(PhysicalOp):
@@ -179,18 +195,19 @@ class IndexLookup(PhysicalOp):
     conjuncts of the original selection) filters the bucket.  When the index
     cannot be built (unhashable values) or the probe key is unhashable, the
     operator delegates to ``fallback`` — a plain filtered scan with the full
-    original predicate.
+    original predicate.  Rows hold the names in ``layout``, as
+    :class:`SeqScan`'s do.
     """
 
     label = "IndexLookup"
 
-    def __init__(self, name, alias, column, key_expr, residual, fallback):
+    def __init__(self, name, column, key_expr, residual, fallback, layout):
         self.name = name
-        self.alias = alias or name
         self.column = column
         self.key_expr = key_expr
         self.residual = residual
         self.fallback = fallback
+        self.layout = layout
 
     def detail(self) -> str:
         return f"{self.name}.{self.column} = {self.key_expr}"
@@ -211,13 +228,11 @@ class IndexLookup(PhysicalOp):
         except TypeError:  # unhashable probe value
             yield from self.fallback.execute(ctx, outer)
             return
-        alias = self.alias
+        layout = self.layout
         scalar = ctx.scalar
         residual = self.residual
         for row in bucket:
-            copy = dict(row)
-            for column, value in row.items():
-                copy[f"{alias}.{column}"] = value
+            copy = {out: row[src] for out, src in layout}
             if residual is not None and not is_truthy(
                 scalar.eval_scalar(residual, ctx.merge(copy, outer))
             ):
@@ -253,13 +268,20 @@ class FilterOp(PhysicalOp):
 
 
 class ProjectOp(PhysicalOp):
-    """π — streaming projection (shares the reference row builder)."""
+    """π — streaming projection.
+
+    Each row holds the items' outputs plus the alias-qualified names of
+    ``passed`` its input row carries (the reference passes every one
+    through; the planner names those read above).  Without ``passed`` (a
+    star projection) rows come from the reference row builder."""
 
     label = "Project"
 
-    def __init__(self, child: PhysicalOp, node: Project):
+    def __init__(self, child: PhysicalOp, node: Project, passed):
         self.child = child
         self.node = node
+        self.passed = passed
+        self.items = [(item.output_name, item.expr) for item in node.items]
 
     def children(self):
         return (self.child,)
@@ -270,18 +292,37 @@ class ProjectOp(PhysicalOp):
     def _rows(self, ctx: ExecContext, outer: Row | None) -> Iterator[Row]:
         scalar = ctx.scalar
         node = self.node
-        for row in self.child.execute(ctx, outer):
-            yield scalar._project_row(node, row, outer)
+        rows = self.child.execute(ctx, outer)
+        passed = self.passed
+        if passed is None:
+            for row in rows:
+                yield scalar._project_row(node, row, outer)
+            return
+        items = self.items
+        evaluate = scalar.eval_scalar
+        merge = ctx.merge
+        for row in rows:
+            scope = merge(row, outer)
+            result = {name: evaluate(expr, scope) for name, expr in items}
+            if passed:
+                for key, value in row.items():
+                    if key in passed:
+                        result.setdefault(key, value)
+            yield result
 
 
 class AliasOp(PhysicalOp):
-    """Derived-table alias: re-qualifies plain columns."""
+    """Derived-table alias: copies each row, adding ``requalified[c]`` (the
+    alias-qualified name of a plain column ``c``) for the columns asked for
+    under it, and drops the names outside ``keep`` when that is set."""
 
     label = "Alias"
 
-    def __init__(self, child: PhysicalOp, name: str):
+    def __init__(self, child: PhysicalOp, name: str, requalified: dict, keep):
         self.child = child
         self.name = name
+        self.requalified = requalified
+        self.keep = keep
 
     def children(self):
         return (self.child,)
@@ -290,12 +331,15 @@ class AliasOp(PhysicalOp):
         return self.name
 
     def _rows(self, ctx: ExecContext, outer: Row | None) -> Iterator[Row]:
-        name = self.name
+        requalified = self.requalified
+        keep = self.keep
         for row in self.child.execute(ctx, outer):
-            copy = dict(row)
-            for column, value in row.items():
-                if "." not in column:
-                    copy[f"{name}.{column}"] = value
+            copy = dict(row) if keep is None else {k: v for k, v in row.items() if k in keep}
+            if requalified:
+                for column, value in row.items():
+                    name = requalified.get(column)
+                    if name is not None:
+                        copy[name] = value
             yield copy
 
 
@@ -411,22 +455,29 @@ class TopN(SortOp):
 # Joins
 
 
-def _combine(left: Row, right: Row) -> Row:
-    # Left values win on bare-name collisions; qualified keys of both sides
-    # are preserved because they never collide (same construction as the
-    # reference evaluator's join).
-    return {**right, **left}
+def _combine(left: Row, right: Row, keep: frozenset[str]) -> Row:
+    """The reference's joined row ``{**right, **left}`` (left values win on
+    bare-name collisions), built with the names of ``keep`` only."""
+    return {k: v for row in (right, left) for k, v in row.items() if k in keep}
+
+
+def _padded(left: Row, right_rows: list[Row], node: Join, db, keep) -> Row:
+    """An unmatched left-join row, NULL-padded as the reference pads it."""
+    row = _pad_left_row(left, right_rows, node.right, db)
+    return {k: v for k, v in row.items() if k in keep}
 
 
 class NestedLoopJoin(PhysicalOp):
-    """⋈ — the general join; mirrors the reference evaluator exactly."""
+    """⋈ — the general join; mirrors the reference evaluator exactly.
+    Joined rows hold the names of ``keep`` (the joins below do too)."""
 
     label = "NestedLoopJoin"
 
-    def __init__(self, left: PhysicalOp, right: PhysicalOp, node: Join):
+    def __init__(self, left: PhysicalOp, right: PhysicalOp, node: Join, keep):
         self.left = left
         self.right = right
         self.node = node
+        self.keep = keep
 
     def children(self):
         return (self.left, self.right)
@@ -437,16 +488,18 @@ class NestedLoopJoin(PhysicalOp):
             text += f" on {self.node.pred}"
         return text
 
-    def _rows(self, ctx: ExecContext, outer: Row | None) -> Iterator[Row]:
+    def _rows(self, ctx: ExecContext, outer: Row | None, right_rows=None) -> Iterator[Row]:
         node = self.node
         scalar = ctx.scalar
-        right_rows = list(self.right.execute(ctx, outer))
+        if right_rows is None:
+            right_rows = list(self.right.execute(ctx, outer))
         pred = node.pred
+        keep = self.keep
         left_kind = node.kind == "left"
         for left in self.left.execute(ctx, outer):
             matched = False
             for right in right_rows:
-                combined = _combine(left, right)
+                combined = _combine(left, right, keep)
                 if pred is not None and not is_truthy(
                     scalar.eval_scalar(pred, ctx.merge(combined, outer))
                 ):
@@ -454,7 +507,7 @@ class NestedLoopJoin(PhysicalOp):
                 matched = True
                 yield combined
             if left_kind and not matched:
-                yield _pad_left_row(left, right_rows, node.right, ctx.db)
+                yield _padded(left, right_rows, node, ctx.db, keep)
 
 
 class HashJoin(PhysicalOp):
@@ -464,6 +517,8 @@ class HashJoin(PhysicalOp):
     ``left_keys``/``right_keys`` are the parallel equality-conjunct sides
     extracted by the planner; ``residual`` holds the remaining conjuncts and
     is evaluated on the combined row exactly like the reference predicate.
+    Joined rows hold the names of ``keep``, which covers the whole
+    predicate's for the nested-loop degrade.
     Rows whose key contains NULL never match (SQL ``=`` is unknown on NULL).
     Unhashable key values degrade to the nested-loop strategy so semantics
     never change.
@@ -471,13 +526,14 @@ class HashJoin(PhysicalOp):
 
     label = "HashJoin"
 
-    def __init__(self, left, right, node: Join, left_keys, right_keys, residual):
+    def __init__(self, left, right, node: Join, left_keys, right_keys, residual, keep):
         self.left = left
         self.right = right
         self.node = node
         self.left_keys = tuple(left_keys)
         self.right_keys = tuple(right_keys)
         self.residual = residual
+        self.keep = keep
 
     def children(self):
         return (self.left, self.right)
@@ -510,6 +566,7 @@ class HashJoin(PhysicalOp):
                 return
 
         residual = self.residual
+        keep = self.keep
         left_kind = node.kind == "left"
         for left in self.left.execute(ctx, outer):
             scope = ctx.merge(left, outer)
@@ -527,7 +584,7 @@ class HashJoin(PhysicalOp):
                     ]
             matched = False
             for right in bucket:
-                combined = _combine(left, right)
+                combined = _combine(left, right, keep)
                 if residual is not None and not is_truthy(
                     scalar.eval_scalar(residual, ctx.merge(combined, outer))
                 ):
@@ -535,7 +592,7 @@ class HashJoin(PhysicalOp):
                 matched = True
                 yield combined
             if left_kind and not matched:
-                yield _pad_left_row(left, right_rows, node.right, ctx.db)
+                yield _padded(left, right_rows, node, ctx.db, keep)
 
     def _keys_equal(self, ctx, outer, left_key, right: Row) -> bool:
         scalar = ctx.scalar
@@ -546,22 +603,7 @@ class HashJoin(PhysicalOp):
         return True
 
     def _nested(self, ctx, outer, right_rows) -> Iterator[Row]:
-        node = self.node
-        scalar = ctx.scalar
-        pred = node.pred
-        left_kind = node.kind == "left"
-        for left in self.left.execute(ctx, outer):
-            matched = False
-            for right in right_rows:
-                combined = _combine(left, right)
-                if pred is not None and not is_truthy(
-                    scalar.eval_scalar(pred, ctx.merge(combined, outer))
-                ):
-                    continue
-                matched = True
-                yield combined
-            if left_kind and not matched:
-                yield _pad_left_row(left, right_rows, node.right, ctx.db)
+        yield from NestedLoopJoin._rows(self, ctx, outer, right_rows)
 
 
 class IndexNLJoin(PhysicalOp):
@@ -577,15 +619,20 @@ class IndexNLJoin(PhysicalOp):
 
     label = "IndexNLJoin"
 
-    def __init__(self, left, node: Join, table, alias, column, left_key, residual, fallback):
+    def __init__(
+        self, left, node: Join, table, column, left_key, residual, fallback, layout, keep
+    ):
         self.left = left
         self.node = node
         self.table = table
-        self.alias = alias or table
         self.column = column
         self.left_key = left_key
         self.residual = residual
         self.fallback = fallback
+        #: The right table's row layout (see :func:`scan_layout`) and the
+        #: joined rows' names.
+        self.layout = layout
+        self.keep = keep
 
     def children(self):
         return (self.left,)
@@ -603,7 +650,8 @@ class IndexNLJoin(PhysicalOp):
             return
         node = self.node
         scalar = ctx.scalar
-        alias = self.alias
+        layout = self.layout
+        keep = self.keep
         residual = self.residual
         left_kind = node.kind == "left"
         base_rows = ctx.db.rows(self.table)
@@ -626,10 +674,8 @@ class IndexNLJoin(PhysicalOp):
                 matched = False
                 for base in bucket:
                     probed += 1
-                    right = dict(base)
-                    for column, value in base.items():
-                        right[f"{alias}.{column}"] = value
-                    combined = _combine(left, right)
+                    right = {out: base[src] for out, src in layout}
+                    combined = _combine(left, right, keep)
                     if residual is not None and not is_truthy(
                         scalar.eval_scalar(residual, ctx.merge(combined, outer))
                     ):
@@ -637,14 +683,8 @@ class IndexNLJoin(PhysicalOp):
                     matched = True
                     yield combined
                 if left_kind and not matched:
-                    if base_rows:
-                        first = dict(base_rows[0])
-                        for column, value in base_rows[0].items():
-                            first[f"{alias}.{column}"] = value
-                        pad_rows = [first]
-                    else:
-                        pad_rows = []
-                    yield _pad_left_row(left, pad_rows, node.right, ctx.db)
+                    pad_rows = [{out: base_rows[0][src] for out, src in layout}] if base_rows else []
+                    yield _padded(left, pad_rows, node, ctx.db, keep)
         finally:
             ctx.probed[id(self)] = ctx.probed.get(id(self), 0) + probed
 
@@ -775,15 +815,16 @@ class _AggState:
         return self.best
 
 
-def _simple_aggs(node: Aggregate) -> bool:
+#: Aggregate functions that fold incrementally, row by row.
+FOLDABLE_AGGS = frozenset({"count", "sum", "min", "max", "avg"})
+
+
+def foldable(node: Aggregate) -> bool:
     """True when every aggregate folds incrementally (no DISTINCT, no
     custom aggregates needing the full value list)."""
-    for item in node.aggs:
-        if item.call.distinct:
-            return False
-        if item.call.func not in ("count", "sum", "min", "max", "avg"):
-            return False
-    return True
+    return all(
+        not item.call.distinct and item.call.func in FOLDABLE_AGGS for item in node.aggs
+    )
 
 
 class HashAggregate(PhysicalOp):
@@ -800,7 +841,7 @@ class HashAggregate(PhysicalOp):
     def __init__(self, child: PhysicalOp, node: Aggregate):
         self.child = child
         self.node = node
-        self.simple = _simple_aggs(node)
+        self.simple = foldable(node)
 
     def children(self):
         return (self.child,)
@@ -849,8 +890,6 @@ class HashAggregate(PhysicalOp):
             yield self._emit(key, states)
 
     def _emit(self, key: tuple, states: list[_AggState]) -> Row:
-        from ..algebra import Col
-
         node = self.node
         result: Row = {}
         for group_expr, value in zip(node.group_by, key):
@@ -886,23 +925,37 @@ class ApplyOp(PhysicalOp):
 
     The right side is a planned subtree, so point lookups inside it can use
     indexes; padding on an empty right side mirrors the reference exactly.
+    Each left row keeps every name the right side may read of it; the
+    applied rows hold the names of ``keep`` only.  The right side's rows
+    hold nothing else, so only the padding and — when ``cut_left`` is set —
+    the left rows are cut.
     """
 
     label = "OuterApply"
 
-    def __init__(self, left: PhysicalOp, right: PhysicalOp, node: OuterApply):
+    def __init__(self, left, right, node: OuterApply, keep, cut_left: bool):
         self.left = left
         self.right = right
         self.node = node
+        self.keep = keep
+        self.cut_left = cut_left
 
     def children(self):
         return (self.left, self.right)
 
     def _rows(self, ctx: ExecContext, outer: Row | None) -> Iterator[Row]:
-        node = self.node
+        keep = self.keep
+        cut_left = self.cut_left
+        pad = [
+            name
+            for name in _output_names_best_effort(self.node.right, ctx.db.catalog)
+            if name in keep
+        ]
         for left in self.left.execute(ctx, outer):
             scope = ctx.merge(left, outer)
             inner_rows = list(self.right.execute(ctx, scope))
+            if cut_left:
+                left = {k: v for k, v in left.items() if k in keep}
             if inner_rows:
                 for inner in inner_rows:
                     combined = dict(left)
@@ -912,6 +965,6 @@ class ApplyOp(PhysicalOp):
                     yield combined
             else:
                 padded = dict(left)
-                for name in _output_names_best_effort(node.right, ctx.db.catalog):
+                for name in pad:
                     padded.setdefault(name, None)
                 yield padded

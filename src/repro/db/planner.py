@@ -86,6 +86,7 @@ from ..algebra import (
     Table,
     UnOp,
     conjoin,
+    walk_relational,
     walk_scalar,
 )
 from .columnar import (
@@ -114,6 +115,8 @@ from .physical import (
     SeqScan,
     SortOp,
     TopN,
+    foldable,
+    scan_layout,
 )
 from .stats import CardinalityEstimator
 
@@ -138,10 +141,6 @@ _C_PROBE = 0.25
 #: rows than this — an index-vs-scan policy a skewed cost constant must
 #: not override.
 _POINT_ROWS = 64
-
-#: Aggregate functions the columnar pipeline can fold (same set as the
-#: row engine's incremental path).
-_FOLDABLE_AGGS = frozenset({"count", "sum", "min", "max", "avg"})
 
 
 def split_conjuncts(pred: ScalarExpr | None) -> list[ScalarExpr]:
@@ -169,60 +168,107 @@ def _cols_of(expr: ScalarExpr) -> list[Col]:
     return [node for node in walk_scalar(expr) if isinstance(node, Col)]
 
 
-def scope_names(node: RelExpr, catalog: Catalog) -> frozenset[str] | None:
+def _is_star(item) -> bool:
+    return isinstance(item.expr, Col) and item.expr.name == "*"
+
+
+def _plain(names) -> frozenset[str]:
+    """The names without a "." — what a client receives of a row."""
+    return frozenset(name for name in names if "." not in name)
+
+
+def _rel_exprs(node: RelExpr) -> list[ScalarExpr]:
+    """The scalar expressions one relational node evaluates itself."""
+    if isinstance(node, Select):
+        return [node.pred]
+    if isinstance(node, Project):
+        return [item.expr for item in node.items if not _is_star(item)]
+    if isinstance(node, Join):
+        return [] if node.pred is None else [node.pred]
+    if isinstance(node, Aggregate):
+        args = [item.call.arg for item in node.aggs if item.call.arg is not None]
+        return [*node.group_by, *args]
+    if isinstance(node, Sort):
+        return [key.expr for key in node.keys]
+    return []
+
+
+def _deep_cols(expr: ScalarExpr):
+    """Every column reference of ``expr``, those of its subqueries (which
+    may resolve against the row the subquery runs under) included."""
+    for node in walk_scalar(expr):
+        if isinstance(node, Col):
+            yield node
+        elif isinstance(node, (ExistsExpr, ScalarSubquery)):
+            for rel in walk_relational(node.query):
+                for inner in _rel_exprs(rel):
+                    yield from _deep_cols(inner)
+
+
+def reads(exprs, scope: frozenset[str]) -> frozenset[str]:
+    """The names of ``scope`` the evaluator's column lookup may consult
+    while evaluating ``exprs`` against a row of ``scope``.
+
+    The lookup tries a reference's qualified name, then its bare name, then
+    — for a bare reference — the one name ending in ``.name``.  A row that
+    keeps every candidate this returns resolves each reference exactly as
+    the full row does (same value, same ambiguity error), whatever outer
+    row it is merged with."""
+    names: set[str] = set()
+    for expr in exprs:
+        for col in _deep_cols(expr):
+            if col.qualifier:
+                names.update({f"{col.qualifier}.{col.name}", col.name} & scope)
+            else:
+                suffix = "." + col.name
+                names.update(
+                    n for n in scope if n == col.name or n.endswith(suffix)
+                )
+    return frozenset(names)
+
+
+def scope_names(
+    node: RelExpr, catalog: Catalog, exact: bool = True
+) -> frozenset[str] | None:
     """The *exact* set of row keys ``node`` produces, or ``None`` if it
     cannot be determined statically.
 
     Exactness is what makes side-classification sound: a column reference
     resolves directly (before the evaluator's suffix-fallback) if and only
-    if its name is in this set.
+    if its name is in this set.  With ``exact`` off the answer is every
+    name a row may hold instead, never ``None``: padded left-join and
+    OUTER APPLY rows count (an apply holds its left and its right names),
+    and a table the catalog does not know (whose scan raises) holds none.
     """
     if isinstance(node, Table):
         if node.name not in catalog:
-            return None
+            return None if exact else frozenset()
         columns = catalog.get(node.name).column_names()
-        alias = node.alias or node.name
-        return frozenset(columns) | frozenset(f"{alias}.{c}" for c in columns)
-    if isinstance(node, (Select, Sort, Distinct, Limit)):
-        return scope_names(node.child, catalog)
-    if isinstance(node, Alias):
-        child = scope_names(node.child, catalog)
-        if child is None:
-            return None
-        return child | frozenset(
-            f"{node.name}.{c}" for c in child if "." not in c
-        )
-    if isinstance(node, Project):
-        child = scope_names(node.child, catalog)
-        if child is None:
-            return None
-        star = any(
-            isinstance(item.expr, Col) and item.expr.name == "*"
-            for item in node.items
-        )
-        names = {
-            item.output_name
-            for item in node.items
-            if not (isinstance(item.expr, Col) and item.expr.name == "*")
-        }
-        # Qualified source columns always pass through the projection.
-        names.update(c for c in child if "." in c)
-        if star:
-            names.update(child)
-        return frozenset(names)
+        return frozenset(out for out, _ in scan_layout(node.alias or node.name, columns))
     if isinstance(node, Aggregate):
-        names = {
-            g.name if isinstance(g, Col) else str(g) for g in node.group_by
-        }
-        names.update(item.output_name for item in node.aggs)
-        return frozenset(names)
-    if isinstance(node, Join):
-        left = scope_names(node.left, catalog)
-        right = scope_names(node.right, catalog)
+        return frozenset(_output_names_best_effort(node))
+    if isinstance(node, (Join, OuterApply)):
+        if exact and isinstance(node, OuterApply):
+            return None
+        left = scope_names(node.left, catalog, exact)
+        right = scope_names(node.right, catalog, exact)
         if left is None or right is None:
             return None
+        if not exact and (isinstance(node, OuterApply) or node.kind == "left"):
+            right |= frozenset(_output_names_best_effort(node.right, catalog))
         return left | right
-    return None  # OuterApply and anything unknown: inexact
+    if not isinstance(node, (Select, Sort, Distinct, Limit, Alias, Project)):
+        return None if exact else frozenset()
+    child = scope_names(node.child, catalog, exact)
+    if child is None or isinstance(node, (Select, Sort, Distinct, Limit)):
+        return child
+    if isinstance(node, Alias):
+        return child | frozenset(f"{node.name}.{c}" for c in _plain(child))
+    # Qualified source columns always pass through the projection.
+    star = any(_is_star(item) for item in node.items)
+    return frozenset(
+        item.output_name for item in node.items if not _is_star(item)
+    ) | frozenset(c for c in child if star or "." in c)
 
 
 def guaranteed_names(node: RelExpr, catalog: Catalog) -> frozenset[str]:
@@ -361,7 +407,10 @@ class Planner:
     # ------------------------------------------------------------------
 
     def lower(self, node: RelExpr) -> PhysicalOp:
-        plan = self._lower(node)
+        """Lower ``node`` to a plan whose rows hold its plain names only:
+        the client's view of a result, and all that an EXISTS or a scalar
+        subquery (planned here too) reads of one."""
+        plan = self._lower(node, _plain(self._scope(node)))
         # Search-size breadcrumbs for tests and EXPLAIN-style introspection.
         self.db.last_plan_search = {
             "groups": len(self._choices),
@@ -400,94 +449,149 @@ class Planner:
 
     # ------------------------------------------------------------------
 
-    def _lower(self, node: RelExpr, allow_columnar: bool = True) -> PhysicalOp:
+    def _lower(
+        self, node: RelExpr, need: frozenset[str], allow_columnar: bool = True
+    ) -> PhysicalOp:
+        """Lower ``node`` to a plan whose rows hold the names of ``need``
+        that the reference's rows hold, and no others.
+
+        Each operator asks its child for the names it passes on plus the
+        candidates (:func:`reads`) of every column its expressions look
+        up; an operator whose rows could then hold more than ``need`` is
+        cut to it (:meth:`_cut`)."""
         if isinstance(node, Table):
-            return SeqScan(node.name, node.alias)
+            return SeqScan(node.name, node.alias, self._layout(node, need))
         if isinstance(node, Select):
-            return self._lower_select(node, allow_columnar)
+            return self._lower_select(node, need, allow_columnar)
+        scope = self._scope(node.child) if hasattr(node, "child") else None
         if isinstance(node, Project):
+            star = any(_is_star(item) for item in node.items)
+            passed = frozenset(n for n in need & scope if star or "." in n)
+            child_need = reads(_rel_exprs(node), scope) | passed
+            produced = frozenset(
+                item.output_name for item in node.items if not _is_star(item)
+            ) | (child_need if star else passed)
             return self._lower_head(
                 node.child, ("project", node), [item.expr for item in node.items],
-                node, lambda child: ProjectOp(child, node), allow_columnar,
+                node,
+                lambda child: self._cut(
+                    ProjectOp(child, node, None if star else passed), produced, need
+                ),
+                allow_columnar, need, child_need,
             )
         if isinstance(node, Join):
-            return self._lower_join(node, allow_columnar)
+            return self._lower_join(node, need, allow_columnar)
         if isinstance(node, Aggregate):
-            foldable = not any(
-                item.call.distinct or item.call.func not in _FOLDABLE_AGGS
-                for item in node.aggs
-            )
-            exprs = list(node.group_by) + [
-                item.call.arg for item in node.aggs if item.call.arg is not None
-            ]
+            exprs = _rel_exprs(node)
+            produced = frozenset(_output_names_best_effort(node))
             return self._lower_head(
-                node.child, ("aggregate", node), exprs if foldable else None,
-                node, lambda child: HashAggregate(child, node), allow_columnar,
+                node.child, ("aggregate", node), exprs if foldable(node) else None,
+                node, lambda child: self._cut(HashAggregate(child, node), produced, need),
+                allow_columnar, need, reads(exprs, scope),
             )
-        if isinstance(node, Sort):
+        if isinstance(node, Sort) or (
+            isinstance(node, Limit) and isinstance(node.child, Sort)
+        ):
+            sort = node if isinstance(node, Sort) else node.child  # τ, or top-N
+            keys = _rel_exprs(sort)
+            child_need = need | reads(keys, self._scope(sort.child))
+
+            def row_head(child):
+                op = SortOp(child, sort) if sort is node else TopN(child, sort, node.count)
+                return self._cut(op, child_need, need)
+
+            head = ("sort", sort) if sort is node else ("topn", (sort, node.count))
             return self._lower_head(
-                node.child, ("sort", node), [key.expr for key in node.keys],
-                node, lambda child: SortOp(child, node), allow_columnar,
+                sort.child, head, keys, node, row_head, allow_columnar, need, child_need
             )
         if isinstance(node, Distinct):
-            child = self._lower(node.child)
+            child_need = need | _plain(scope)
+            child = self._lower(node.child, child_need)
             if isinstance(child, ColumnarPipeline) and child.head_kind == "project":
                 child.distinct = True  # δ runs inside the pipeline
-                return child
-            return DistinctOp(child)
+            else:
+                child = DistinctOp(child)
+            return self._cut(child, child_need, need)
         if isinstance(node, Limit):
-            sort, count = node.child, node.count
-            if isinstance(sort, Sort):
-                return self._lower_head(
-                    sort.child, ("topn", (sort, count)), [key.expr for key in sort.keys],
-                    node, lambda child: TopN(child, sort, count), allow_columnar,
-                )
             # A columnar pipeline consumes its whole input before emitting,
             # which would defeat LIMIT's early exit — unless the child is
             # an aggregate, which must consume everything anyway.
             allow = isinstance(node.child, Aggregate)
-            return LimitOp(self._lower(node.child, allow_columnar=allow), node.count)
+            return LimitOp(self._lower(node.child, need, allow), node.count)
         if isinstance(node, OuterApply):
-            return ApplyOp(self._lower(node.left), self._lower_applied(node), node)
+            # The right side runs under each left row: keep every name its
+            # lookups (subqueries included) may consult there.
+            left_scope = self._scope(node.left)
+            inner = [e for rel in walk_relational(node.right) for e in _rel_exprs(rel)]
+            left_need = (need & left_scope) | reads(inner, left_scope)
+            left = self._lower(node.left, left_need)
+            # Every operator on the right passes its outer row through, so
+            # each sees the left row merged over the apply's own outer row
+            # (the enclosing apply's scope when nested).
+            saved = self._outer_scope
+            self._outer_scope = guaranteed_names(node.left, self.catalog) | (
+                saved or frozenset()
+            )
+            try:
+                right = self._lower(node.right, need & self._scope(node.right))
+            finally:
+                self._outer_scope = saved
+            return ApplyOp(left, right, node, need, not left_need <= need)
         if isinstance(node, Alias):
-            return AliasOp(self._lower(node.child), node.name)
+            prefix = node.name + "."
+            requalified = {c: prefix + c for c in _plain(scope) if prefix + c in need}
+            child_need = (need & scope) | frozenset(requalified)
+            keep = None if child_need <= need else need
+            return AliasOp(
+                self._lower(node.child, child_need), node.name, requalified, keep
+            )
         raise EngineError(f"cannot evaluate {type(node).__name__}")
 
-    def _lower_applied(self, node: OuterApply) -> PhysicalOp:
-        """Lower an apply's right side knowing its outer scope: every
-        operator below passes its outer row through unchanged, so each
-        one sees the left row merged over the apply's own outer row — the
-        enclosing apply's scope when nested."""
-        saved = self._outer_scope
-        self._outer_scope = guaranteed_names(node.left, self.catalog) | (
-            saved or frozenset()
-        )
-        try:
-            return self._lower(node.right)
-        finally:
-            self._outer_scope = saved
+    @staticmethod
+    def _cut(op: PhysicalOp, produced: frozenset[str], need: frozenset[str]) -> PhysicalOp:
+        """Cut ``op``'s rows to ``need`` when they may hold names beyond it
+        (``produced``: every name they may hold)."""
+        if not produced <= need:
+            op.trim = need
+        return op
+
+    def _scope(self, node: RelExpr) -> frozenset[str]:
+        return scope_names(node, self.catalog, exact=False)
+
+    def _layout(self, node: Table, need: frozenset[str]):
+        """What a scan of ``node`` emits of each row to hold ``need``."""
+        if node.name not in self.catalog:
+            return None  # the scan raises the unknown table
+        columns = self.catalog.get(node.name).column_names()
+        return scan_layout(node.alias or node.name, columns, need)
 
     # ------------------------------------------------------------------
     # Selection
 
-    def _lower_select(self, node: Select, allow_columnar: bool = True) -> PhysicalOp:
+    def _lower_select(
+        self, node: Select, need: frozenset[str], allow_columnar: bool = True
+    ) -> PhysicalOp:
         conjuncts = split_conjuncts(node.pred)
+        # The row operators below pass on the names the predicate read.
+        child_need = need | reads([node.pred], self._scope(node.child))
 
         exists, negated, others = self._find_exists_conjunct(conjuncts)
         if exists is not None:
-            semi = self._try_semi_join(node, exists, negated, others)
+            semi = self._try_semi_join(node, exists, negated, others, need, child_need)
             if semi is not None:
                 return semi
 
         table = node.child
+        filtered = FilterOp(self._lower(table, child_need, allow_columnar), node.pred)
+        filtered = self._cut(filtered, child_need, need)
         if not (isinstance(table, Table) and table.name in self.catalog):
-            return FilterOp(self._lower(table, allow_columnar), node.pred)
+            return filtered
 
         est = self.estimator
         row_count = est.table_rows(table.name)
         candidates = []
 
-        lookup, probe_rows = self._best_index_lookup(node, conjuncts)
+        lookup, probe_rows = self._best_index_lookup(node, conjuncts, need)
         if lookup is not None:
             candidates.append(
                 ("IndexLookup", _C_PROBE + probe_rows * (_C_ROW + _C_EVAL), lookup)
@@ -504,7 +608,7 @@ class Planner:
             if lookup is not None and out < _POINT_ROWS and self.columnar != "force":
                 side = None
         if side is not None:
-            pipeline = ColumnarPipeline(*side, ("filter", None))
+            pipeline = ColumnarPipeline(*side, ("filter", None), (), need)
             candidates.append(
                 ("Columnar", row_count * _C_VEC + out * _C_ROW, pipeline)
             )
@@ -512,13 +616,7 @@ class Planner:
             # A filtered row scan is costed only where no vectorized scan
             # is on offer: it pays per-row materialization the pipeline
             # skips, so beside one it could never win.
-            candidates.append(
-                (
-                    "Filter",
-                    row_count * (_C_ROW + _C_EVAL),
-                    FilterOp(SeqScan(table.name, table.alias), node.pred),
-                )
-            )
+            candidates.append(("Filter", row_count * (_C_ROW + _C_EVAL), filtered))
         return self._choose(f"select({table.name})", candidates)
 
     @staticmethod
@@ -535,13 +633,14 @@ class Planner:
                 return expr, negated ^ expr.negated, others
         return None, False, conjuncts
 
-    def _try_semi_join(self, node, exists, negated, others):
+    def _try_semi_join(self, node, exists, negated, others, need, child_need):
         """Lower ``σ[... AND EXISTS(Q)]`` to a hash semi/anti-join.
 
         Returns ``None`` (caller falls back to a per-row filter) unless the
         inner query, stripped of its correlation equality conjuncts, is
         provably closed — i.e. evaluates to the same rows under any outer
-        scope."""
+        scope.  The build side holds only what its keys read; the child
+        keeps what the whole predicate reads, for the per-row fallback."""
         core = exists.query
         while True:
             if isinstance(core, _EMPTINESS_PRESERVING):
@@ -585,15 +684,16 @@ class Planner:
         if not self._closed(build_rel):
             return None
 
-        child_plan = self._filtered_child(node, others)
+        child_plan = self._filtered_child(node, others, child_need)
         row_semi = HashSemiJoin(
             child_plan,
-            self._lower(build_rel),
+            self._lower(build_rel, reads(inner_keys, self._scope(build_rel))),
             outer_keys,
             inner_keys,
             negated,
             fallback=FilterOp(child_plan, ExistsExpr(exists.query, negated)),
         )
+        self._cut(row_semi, child_need, need)
         # The keyless (uncorrelated) case must stay on the row operator:
         # its build probes emptiness with a single row, an early exit a
         # vectorized build would lose (and whose error behavior it would
@@ -601,16 +701,16 @@ class Planner:
         if not inner_keys:
             return row_semi
         col_semi = self._columnar_semi(
-            node, others, build_rel, outer_keys, inner_keys, negated, row_semi
+            node, others, build_rel, outer_keys, inner_keys, negated, row_semi, need
         )
         return row_semi if col_semi is None else col_semi
 
-    def _filtered_child(self, node: Select, others) -> PhysicalOp:
+    def _filtered_child(self, node: Select, others, need) -> PhysicalOp:
         """Lower the Select's child with the non-EXISTS conjuncts applied
         (re-entering selection lowering so point lookups still trigger)."""
         if not others:
-            return self._lower(node.child)
-        return self._lower_select(Select(node.child, conjoin(*others)))
+            return self._lower(node.child, need)
+        return self._lower_select(Select(node.child, conjoin(*others)), need)
 
     def _correlation_pair(self, conjunct, inner_names, outer_names):
         """Split ``inner_col = outer_expr`` (either orientation) out of an
@@ -644,56 +744,13 @@ class Planner:
         any outer row it is merged with."""
         if isinstance(rel, Table):
             return rel.name in self.catalog
-        if isinstance(rel, Select):
-            scope = scope_names(rel.child, self.catalog)
-            return (
-                scope is not None
-                and self._scalars_closed([rel.pred], scope)
-                and self._closed(rel.child)
-            )
-        if isinstance(rel, Project):
-            scope = scope_names(rel.child, self.catalog)
-            return (
-                scope is not None
-                and self._scalars_closed(
-                    [i.expr for i in rel.items
-                     if not (isinstance(i.expr, Col) and i.expr.name == "*")],
-                    scope,
-                )
-                and self._closed(rel.child)
-            )
-        if isinstance(rel, Join):
-            left = scope_names(rel.left, self.catalog)
-            right = scope_names(rel.right, self.catalog)
-            if left is None or right is None:
-                return False
-            preds = [] if rel.pred is None else [rel.pred]
-            return (
-                self._scalars_closed(preds, left | right)
-                and self._closed(rel.left)
-                and self._closed(rel.right)
-            )
-        if isinstance(rel, Aggregate):
-            scope = scope_names(rel.child, self.catalog)
-            exprs = list(rel.group_by)
-            exprs.extend(
-                item.call.arg for item in rel.aggs if item.call.arg is not None
-            )
-            return (
-                scope is not None
-                and self._scalars_closed(exprs, scope)
-                and self._closed(rel.child)
-            )
-        if isinstance(rel, Sort):
-            scope = scope_names(rel.child, self.catalog)
-            return (
-                scope is not None
-                and self._scalars_closed([k.expr for k in rel.keys], scope)
-                and self._closed(rel.child)
-            )
-        if isinstance(rel, (Distinct, Limit, Alias)):
-            return self._closed(rel.child)
-        return False  # OuterApply or unknown node
+        children = rel.children()
+        scopes = [scope_names(child, self.catalog) for child in children]
+        if isinstance(rel, OuterApply) or None in scopes:
+            return False  # correlated by construction, or an unknown scope
+        return self._scalars_closed(_rel_exprs(rel), frozenset().union(*scopes)) and all(
+            self._closed(child) for child in children
+        )
 
     def _scalars_closed(self, exprs, scope: frozenset[str]) -> bool:
         for expr in exprs:
@@ -706,7 +763,7 @@ class Planner:
     # ------------------------------------------------------------------
     # Point lookups
 
-    def _best_index_lookup(self, node: Select, conjuncts):
+    def _best_index_lookup(self, node: Select, conjuncts, need):
         """Build ``σ[col = expr AND ...](T)`` as a hash-index point lookup.
 
         Applies when a probed column is part of the table's declared key
@@ -716,7 +773,8 @@ class Planner:
         A probe correlated with an OUTER APPLY's outer scope earns an
         auto-built index on any column.  Among several indexable
         conjuncts, the one with the highest NDV (fewest expected matches) is
-        probed.  Returns ``(plan, estimated_rows)`` or ``(None, None)``."""
+        probed.  The lookup's rows hold ``need``.  Returns
+        ``(plan, estimated_rows)`` or ``(None, None)``."""
         table = node.child
         if not isinstance(table, Table) or table.name not in self.catalog:
             return None, None
@@ -758,16 +816,24 @@ class Planner:
             return None, None
         estimated, i, col, probe = best
         residual = conjoin(*(conjuncts[:i] + conjuncts[i + 1 :]))
-        fallback = FilterOp(SeqScan(table.name, table.alias), node.pred)
-        return (
-            IndexLookup(table.name, table.alias, col.name, probe, residual, fallback),
-            estimated,
+        # The probe reads no column of the table: rows hold what the
+        # residual reads; the fallback scan, what the whole predicate reads.
+        build = need | reads(split_conjuncts(residual), names)
+        scanned = need | reads([node.pred], names)
+        fallback = FilterOp(SeqScan(table.name, table.alias, self._layout(table, scanned)), node.pred)
+        lookup = IndexLookup(
+            table.name, col.name, probe, residual,
+            self._cut(fallback, scanned, build), self._layout(table, build),
         )
+        return self._cut(lookup, build, need), estimated
 
     # ------------------------------------------------------------------
     # Heads over a filtered scan, and the one vectorizability test
 
-    def _lower_head(self, child, head, head_exprs, out_node, row_head, allow_columnar):
+    def _lower_head(
+        self, child, head, head_exprs, out_node, row_head, allow_columnar, need,
+        child_need,
+    ):
         """Lower a π/γ/τ/top-N ``head`` over ``child``.
 
         When ``child`` is a vectorizable ``[σ] over base table``, one
@@ -777,26 +843,28 @@ class Planner:
         generic lowering of ``child`` in the head's row operator.
         ``head_exprs`` is ``None`` when the head itself has no vector form
         (a DISTINCT or unfoldable aggregate); ``out_node`` is the tree whose
-        estimate is the head's output."""
+        estimate is the head's output.  The head's rows hold ``need``; a
+        row head asks its child for ``child_need``."""
         side = None
         if allow_columnar and head_exprs is not None:
             side = self._vector_side(child, head_exprs)
         if side is None:
-            return row_head(self._lower(child, allow_columnar))
+            return row_head(self._lower(child, child_need, allow_columnar))
         name, _, _, pred = side
         est = self.estimator
         out = est.estimate(out_node)
         head_evals = est.estimate(child) * len(head_exprs)
         col_scan = 0.0 if pred is None else est.table_rows(name) * _C_VEC
+        pipeline = ColumnarPipeline(*side, head, head_exprs, need)
+        if head[0] == "aggregate":
+            self._cut(pipeline, frozenset(_output_names_best_effort(out_node)), need)
         candidates = [
-            (
-                "Columnar",
-                col_scan + head_evals * _C_VEC + out * _C_ROW,
-                ColumnarPipeline(*side, head, head_exprs),
-            )
+            ("Columnar", col_scan + head_evals * _C_VEC + out * _C_ROW, pipeline)
         ]
         if isinstance(child, Select):
-            lookup, probe_rows = self._best_index_lookup(child, split_conjuncts(pred))
+            lookup, probe_rows = self._best_index_lookup(
+                child, split_conjuncts(pred), child_need
+            )
             if lookup is not None:
                 plan = row_head(lookup)
                 probe = _C_PROBE + probe_rows * (_C_ROW + _C_EVAL)
@@ -830,16 +898,26 @@ class Planner:
     # ------------------------------------------------------------------
     # Joins
 
-    def _lower_join(self, node: Join, allow_columnar: bool = True) -> PhysicalOp:
-        left_plan = self._lower(node.left)
-        right_plan = self._lower(node.right)
+    def _lower_join(
+        self, node: Join, need: frozenset[str], allow_columnar: bool = True
+    ) -> PhysicalOp:
+        scope = self._scope(node.left) | self._scope(node.right)
+        # Joined rows hold what the predicate reads; the children also
+        # give what each key expression reads.
+        wanted = need | reads(_rel_exprs(node), scope)
+        left_plan = self._lower(node.left, wanted & self._scope(node.left))
+        right_plan = self._lower(node.right, wanted & self._scope(node.right))
+
+        def cut(op):
+            return self._cut(op, op.keep, need)
+
         if node.pred is None:
-            return NestedLoopJoin(left_plan, right_plan, node)
+            return cut(NestedLoopJoin(left_plan, right_plan, node, wanted))
 
         left_names = scope_names(node.left, self.catalog)
         right_names = scope_names(node.right, self.catalog)
         if left_names is None or right_names is None:
-            return NestedLoopJoin(left_plan, right_plan, node)
+            return cut(NestedLoopJoin(left_plan, right_plan, node, wanted))
 
         left_keys: list[ScalarExpr] = []
         right_keys: list[ScalarExpr] = []
@@ -861,17 +939,19 @@ class Planner:
                 residual.append(conjunct)
 
         if not left_keys:
-            return NestedLoopJoin(left_plan, right_plan, node)
+            return cut(NestedLoopJoin(left_plan, right_plan, node, wanted))
 
         residual_pred = conjoin(*residual)
-        hash_join = HashJoin(
-            left_plan, right_plan, node, left_keys, right_keys, residual_pred
+        hash_join = cut(
+            HashJoin(
+                left_plan, right_plan, node, left_keys, right_keys, residual_pred, wanted
+            )
         )
 
         col_join = None
         if allow_columnar:
             col_join = self._columnar_join(
-                node, left_keys, right_keys, residual_pred, hash_join
+                node, left_keys, right_keys, residual_pred, hash_join, need
             )
 
         # Index nested-loop only on explicit opt-in (create_index): for a
@@ -897,15 +977,18 @@ class Planner:
         if indexed:
             ndv = est.ndv(node.right.name, right_key.name) or 1
             matches = right_rows / max(ndv, 1)
-            inl = IndexNLJoin(
-                left_plan,
-                node,
-                node.right.name,
-                node.right.alias,
-                right_key.name,
-                left_keys[0],
-                residual_pred,
-                fallback=hash_join,
+            inl = cut(
+                IndexNLJoin(
+                    left_plan,
+                    node,
+                    node.right.name,
+                    right_key.name,
+                    left_keys[0],
+                    residual_pred,
+                    hash_join,
+                    self._layout(node.right, wanted & self._scope(node.right)),
+                    need | reads(split_conjuncts(residual_pred), scope),
+                )
             )
             cost = left_rows * (_C_PROBE + matches * _C_ROW)
             if col_join is not None:
@@ -943,11 +1026,11 @@ class Planner:
         return self._choose(f"join({col_join.right_name})", candidates)
 
     def _columnar_join(
-        self, node: Join, left_keys, right_keys, residual, fallback
+        self, node: Join, left_keys, right_keys, residual, fallback, need
     ) -> ColumnarHashJoin | None:
-        """A :class:`ColumnarHashJoin` for ``node``, or ``None`` when the
-        join kind, either side's shape, or any key/predicate/residual
-        expression rules it out."""
+        """A :class:`ColumnarHashJoin` for ``node`` emitting ``need``, or
+        ``None`` when the join kind, either side's shape, or any
+        key/predicate/residual expression rules it out."""
         if node.kind not in ("inner", "left"):
             return None
         left_side = self._vector_side(node.left, left_keys)
@@ -971,15 +1054,16 @@ class Planner:
             residual,
             layout,
             fallback,
+            need,
         )
 
     def _columnar_semi(
         self, node: Select, others, build_rel, outer_keys, inner_keys, negated,
-        fallback,
+        fallback, need,
     ) -> ColumnarSemiJoin | None:
-        """A :class:`ColumnarSemiJoin` for a decorrelated EXISTS, or
-        ``None`` when either side's shape or any key expression rules it
-        out."""
+        """A :class:`ColumnarSemiJoin` for a decorrelated EXISTS emitting
+        ``need``, or ``None`` when either side's shape or any key
+        expression rules it out."""
         child_rel = (
             node.child if not others else Select(node.child, conjoin(*others))
         )
@@ -988,5 +1072,5 @@ class Planner:
         if child_side is None or build_side is None:
             return None
         return ColumnarSemiJoin(
-            child_side, build_side, outer_keys, inner_keys, negated, fallback
+            child_side, build_side, outer_keys, inner_keys, negated, fallback, need
         )

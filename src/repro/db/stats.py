@@ -56,7 +56,7 @@ from ..algebra import (
 )
 from ..sqlparse.parser import SLOT
 from .engine import EngineError
-from .types import is_truthy
+from .types import LazyColumns, is_truthy
 
 #: Equi-width histogram resolution (buckets per numeric column).
 HISTOGRAM_BUCKETS = 16
@@ -132,33 +132,6 @@ class ColumnStats:
                 None if self.histogram is None else list(self.histogram.counts)
             ),
         }
-
-
-class _LazyColumns(Mapping):
-    """Column name → :class:`ColumnStats`, each built on its first read.
-
-    Iteration and ``len`` list every column without building any; ``[]``,
-    ``get``, ``values`` and ``items`` build (and keep) what they touch.
-    """
-
-    def __init__(self, names, build):
-        self._build = build
-        self._built: dict[str, ColumnStats | None] = dict.fromkeys(names)
-
-    def __getitem__(self, name: str) -> ColumnStats:
-        stats = self._built[name]
-        if stats is None:
-            stats = self._built[name] = self._build(name)
-        return stats
-
-    def __contains__(self, name) -> bool:
-        return name in self._built
-
-    def __iter__(self):
-        return iter(self._built)
-
-    def __len__(self) -> int:
-        return len(self._built)
 
 
 @dataclass(frozen=True)
@@ -336,7 +309,7 @@ def build_sampled_table_stats(
         return _column_stats(name, values)
 
     return TableStats(
-        table, n, _LazyColumns(names, build), sampled, sample_size if sampled else None
+        table, n, LazyColumns(names, build), sampled, sample_size if sampled else None
     )
 
 

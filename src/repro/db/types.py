@@ -7,11 +7,12 @@ NULLs consistently.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Mapping
 
 Row = dict
-"""A database row: column name → value.  Joined rows may additionally carry
-alias-qualified keys (``"b.rnd_id"``) so qualified column references resolve."""
+"""A database row: column name → value.  Inside a plan a row also carries
+the alias-qualified names (``"b.rnd_id"``) that some operator above it
+resolves; a row the client receives holds plain names only."""
 
 
 def sql_eq(left: Any, right: Any) -> bool | None:
@@ -127,11 +128,10 @@ def value_size_bytes(value: Any) -> int:
 
 
 def row_size_bytes(row: Row) -> int:
-    """Estimate the wire size of one row (unqualified columns only)."""
+    """Estimate the wire size of one row."""
     size = 0
-    for name, value in row.items():
-        if "." not in name:
-            size += _FIXED_SIZES.get(type(value)) or value_size_bytes(value)
+    for value in row.values():
+        size += _FIXED_SIZES.get(type(value)) or value_size_bytes(value)
     return size
 
 
@@ -177,3 +177,35 @@ class _Reversed:
 def descending_key(value: Any) -> _Reversed:
     """Return a sort key for a DESC column (NULLs first, mirroring ASC)."""
     return _Reversed(nulls_last_key(value))
+
+
+class LazyColumns(Mapping):
+    """Column name → a value ``build(name)`` makes on the first read.
+
+    Iteration and ``len`` list every column without building any; ``[]``,
+    ``get``, ``values`` and ``items`` build (and keep) what they touch;
+    :meth:`built` names what was built so far.  Column statistics and the
+    columnar engine's column arrays are both kept this way.
+    """
+
+    def __init__(self, names, build):
+        self._build = build
+        self._built: dict[str, Any] = dict.fromkeys(names)
+
+    def __getitem__(self, name: str) -> Any:
+        value = self._built[name]
+        if value is None:
+            value = self._built[name] = self._build(name)
+        return value
+
+    def __contains__(self, name) -> bool:
+        return name in self._built
+
+    def __iter__(self):
+        return iter(self._built)
+
+    def __len__(self) -> int:
+        return len(self._built)
+
+    def built(self) -> list[str]:
+        return [name for name, value in self._built.items() if value is not None]

@@ -23,7 +23,8 @@ from typing import Any
 from ..core import optimize_program
 from ..db import Connection, EngineDivergenceError
 from ..interp import Interpreter
-from ..interp.values import Entity, ResultCursor, StringBuilder, to_display
+from ..db.types import to_display
+from ..interp.values import Entity, ResultCursor, StringBuilder
 from ..lang import parse_program
 from .dbgen import build_database
 from .generator import GeneratedCase
@@ -80,14 +81,14 @@ class Verdict:
 def normalize(value: Any) -> Any:
     """Canonicalise interpreter values for structural comparison.
 
-    Entities compare by their plain (unqualified) columns; containers are
-    normalised recursively.  Sets become sorted tuples so two runs compare
+    Entities compare by their columns; containers are normalised
+    recursively.  Sets become sorted tuples so two runs compare
     independently of iteration order.
     """
     if isinstance(value, Entity):
         return (
             "entity",
-            tuple(sorted((k, v) for k, v in value.row.items() if "." not in k)),
+            tuple(sorted(value.row.items())),
         )
     if isinstance(value, ResultCursor):
         return tuple(normalize(Entity(row)) for row in value._rows)

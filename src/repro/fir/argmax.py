@@ -40,7 +40,7 @@ from ..ir import (
     EOp,
     EQuery,
 )
-from .scalarize import NotScalarizable, scalarize
+from .scalarize import CapableButUnimplemented, NotScalarizable, scalarize
 
 _MAX_OPS = {">", ">="}
 _MIN_OPS = {"<", "<="}
@@ -128,9 +128,7 @@ def argmax_to_algebra(
     try:
         measure_s = scalarize(match.measure, loop.cursor)
         payload_s = scalarize(match.payload, loop.cursor)
-    except NotScalarizable:
-        return None
-    except Exception:
+    except (NotScalarizable, CapableButUnimplemented):
         return None
 
     ascending = match.direction == "min"

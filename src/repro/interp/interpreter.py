@@ -17,15 +17,14 @@ from functools import partial
 from typing import Any, Callable
 
 from ..db import Connection
+from ..db.types import to_display
 from ..lang import (
     Assign, Binary, Block, BoolLit, Break, Call, Continue, Expr, ExprStmt, FieldAccess,
     FloatLit, ForEach, FunctionDef, If, IntLit, MethodCall, Name, New, NullLit, Program,
     Return, Stmt, StringLit, Ternary, TryCatch, Unary, While,
 )
 from ..sqlparse import parse_query, template_params
-from .values import (
-    Entity, ResultCursor, StringBuilder, getter_to_column, setter_to_column, to_display,
-)
+from .values import Entity, ResultCursor, StringBuilder, getter_to_column, setter_to_column
 
 
 class InterpreterError(Exception):
@@ -334,10 +333,7 @@ def _java_parse(convert: Callable[[Any], Any]) -> Callable[[list[Any]], Any]:
 
 
 def _register_temp_table(interp: Interpreter, env: dict, args: list[Any]) -> None:
-    rows = [
-        {k: v for k, v in e.row.items() if "." not in k} if isinstance(e, Entity) else {"val": e}
-        for e in args[1]
-    ]
+    rows = [e.row if isinstance(e, Entity) else {"val": e} for e in args[1]]
     interp._connection.ship_temp_table(args[0], rows)
 
 
@@ -365,8 +361,7 @@ _BINARY = {
 _QUERIES = {
     "executeQuery": lambda rows: [Entity(row) for row in rows],
     "executeQueryCursor": ResultCursor, "executeExists": bool,
-    "executeScalar": lambda rows: next(
-        (v for k, v in rows[0].items() if "." not in k), None) if rows else None,
+    "executeScalar": lambda rows: next(iter(rows[0].values()), None) if rows else None,
 }
 #: Constructors by class name, applied to the evaluated arguments.
 _NEW = {

@@ -2,7 +2,8 @@
 
 Rows coming back from the database are wrapped in :class:`Entity` so that
 application code can use Java-bean style access (``t.getP1()``, ``t.score``)
-and JDBC-style access (``rs.getString("name")``).
+and JDBC-style access (``rs.getString("name")``).  A row holds its plain
+column names only: the engine keeps alias-qualified names inside the plan.
 """
 
 from __future__ import annotations
@@ -10,7 +11,8 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Any
 
-from ..db.types import Row, to_display
+from ..db import types
+from ..db.types import Row
 
 
 class Entity:
@@ -22,27 +24,18 @@ class Entity:
     def get(self, column: str) -> Any:
         if column in self.row:
             return self.row[column]
-        # Accept a unique alias-qualified match (e.g. "b.score" for "score").
-        suffix = f".{column}"
-        matches = [k for k in self.row if k.endswith(suffix)]
-        if len(matches) == 1:
-            return self.row[matches[0]]
         raise KeyError(f"row has no column {column!r}; columns: {sorted(self.row)}")
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Entity):
-            return _plain(self.row) == _plain(other.row)
+            return self.row == other.row
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(tuple(sorted(_plain(self.row).items())))
+        return hash(tuple(sorted(self.row.items())))
 
     def __repr__(self) -> str:
-        return f"Entity({_plain(self.row)})"
-
-
-def _plain(row: Row) -> dict:
-    return {k: v for k, v in row.items() if "." not in k}
+        return f"Entity({self.row})"
 
 
 @lru_cache(maxsize=1024)
@@ -101,7 +94,7 @@ class StringBuilder:
         self._parts = [initial] if initial else []
 
     def append(self, value: Any) -> "StringBuilder":
-        self._parts.append(to_display(value))
+        self._parts.append(types.to_display(value))
         return self
 
     def to_string(self) -> str:

@@ -40,9 +40,12 @@ class TestScan:
         rows = database.execute(Table("project"))
         assert len(rows) == 4
 
-    def test_scan_adds_alias_qualified_keys(self, database):
+    def test_scan_resolves_alias_qualified_names(self, database):
+        # Qualified names resolve inside the plan; the client gets plain rows.
         rows = database.execute(Table("project", "p"))
-        assert rows[0]["p.name"] == rows[0]["name"]
+        assert all("." not in name for row in rows for name in row)
+        rel = Project(Table("project", "p"), (ProjectItem(Col("name", "p"), "n"),))
+        assert [r["n"] for r in database.execute(rel)] == [r["name"] for r in rows]
 
     def test_unknown_table_raises(self, database):
         with pytest.raises(EngineError):
@@ -115,7 +118,7 @@ class TestJoin:
         )
         rows = database.execute(rel)
         assert len(rows) == 3
-        assert {r["r.role_name"] for r in rows} == {"admin", "dev"}
+        assert {r["role_name"] for r in rows} == {"admin", "dev"}
 
     def test_left_join_pads_nulls(self, database):
         database.insert("wilosuser", {"id": 9, "name": "zed", "role_id": 99})
@@ -126,8 +129,8 @@ class TestJoin:
             "left",
         )
         rows = database.execute(rel)
-        zed = [r for r in rows if r["u.name"] == "zed"][0]
-        assert zed["r.role_name"] is None
+        zed = [r for r in rows if r["name"] == "zed"][0]
+        assert zed["role_name"] is None
 
     def test_cross_join(self, database):
         rel = Join(Table("role"), Table("customers"), None, "cross")

@@ -112,7 +112,7 @@ def test_join_matches_nested_loop_reference(t_rows, u_rows):
         for k, v in u_rows
         if a == k
     ]
-    got = [(r["x.a"], r["x.b"], r["y.k"], r["y.v"]) for r in result]
+    got = [(r["a"], r["b"], r["k"], r["v"]) for r in result]
     assert got == expected
 
 

@@ -365,7 +365,7 @@ class TestSatelliteFixes:
         assert len(rows) == 3
         for row in rows:
             assert row["role_name"] is None
-            assert row["r.role_name"] is None
+            assert "r.role_name" not in row
 
     def test_left_join_empty_filtered_right_pads_from_projection(self, database):
         right = Project(

@@ -164,3 +164,29 @@ def test_every_entry_point_raises_one_unknown_table_error(entry):
         entry(db)
     assert isinstance(raised.value, EngineError)
     assert isinstance(raised.value, KeyError)
+
+
+def test_columnar_scan_transposes_only_the_columns_it_reads():
+    # A write batch, then π[name]: the pipeline builds one column array, not
+    # one per catalog column; the arrays die with the next write.
+    from repro.algebra import Project, ProjectItem
+
+    catalog = Catalog()
+    catalog.define("activity", ["id", "name", "kind", "process_id", "finished"])
+    db = Database(catalog)
+    db.columnar_mode = "force"
+    query = Project(Table("activity", "a"), (ProjectItem(Col("name")),))
+    for batch in range(2):
+        db.clear("activity")
+        db.insert_many("activity", [
+            {"id": i, "name": f"n{batch}{i}", "kind": "task", "process_id": 1,
+             "finished": False}
+            for i in range(50)
+        ])
+        arrays = db.columns("activity")
+        assert arrays.built() == []
+        assert db.execute(query) == [{"name": f"n{batch}{i}"} for i in range(50)]
+        assert db.columns("activity") is arrays
+        assert arrays.built() == ["name"]
+    with pytest.raises(KeyError):
+        arrays["a.name"]

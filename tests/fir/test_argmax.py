@@ -105,3 +105,33 @@ class TestAlgebraConstruction:
         node = try_dependent_aggregation(loops["best"], loops, ctx.dag)
         if node is not None:
             assert node.operands[0].op in ("not_null", ">")
+
+
+class TestScalarizeFailures:
+    """Only the two declared scalarization failures decline the rewrite; any
+    other error is a defect and must surface, not silently skip it."""
+
+    def test_declared_failures_decline(self, monkeypatch):
+        import repro.fir.argmax as argmax
+        from repro.fir import CapableButUnimplemented, NotScalarizable
+
+        loops, ctx = loops_of(ARGMAX_SOURCE)
+        for error in (NotScalarizable("x"), CapableButUnimplemented("x")):
+            def fail(*args, error=error):
+                raise error
+
+            monkeypatch.setattr(argmax, "scalarize", fail)
+            assert try_dependent_aggregation(loops["best"], loops, ctx.dag) is None
+
+    def test_unexpected_error_propagates(self, monkeypatch):
+        import pytest
+
+        import repro.fir.argmax as argmax
+
+        def broken(*args):
+            raise RuntimeError("scalarize defect")
+
+        loops, ctx = loops_of(ARGMAX_SOURCE)
+        monkeypatch.setattr(argmax, "scalarize", broken)
+        with pytest.raises(RuntimeError, match="scalarize defect"):
+            try_dependent_aggregation(loops["best"], loops, ctx.dag)

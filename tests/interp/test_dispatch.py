@@ -34,8 +34,7 @@ def _patched(statement):
 
 
 _MISSING_OWNER = (
-    "row has no column 'owner'; columns: ['budget', 'finished', 'id', 'name',"
-    " 'project.budget', 'project.finished', 'project.id', 'project.name']"
+    "row has no column 'owner'; columns: ['budget', 'finished', 'id', 'name']"
 )
 ERROR_CASES = {
     "unknown expression": (

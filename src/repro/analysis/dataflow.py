@@ -8,7 +8,9 @@ whole database as one location), program slices, and live variables.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ..lang import (
     Assign,
@@ -22,11 +24,11 @@ from ..lang import (
     If,
     MethodCall,
     Name,
-    New,
     Return,
     Stmt,
     TryCatch,
     While,
+    child_blocks,
     walk_expressions,
     walk_statements,
 )
@@ -71,46 +73,102 @@ OUTPUT_CALLS = {"print", "println"}
 
 # ----------------------------------------------------------------------
 # Def/use extraction
+#
+# Expressions are never mutated after construction (``repro.lang``), so
+# :func:`expr_facts` walks one once and keeps the result on it for every
+# statement and program sharing it.  :func:`analysis_scope` drops these
+# memos (and the statement indexes) when it ends: they die with the
+# extraction that made them, not with the programs its report keeps.
+
+_NO_NAMES: frozenset[str] = frozenset()
+_memoised: list | None = None  # what the current analysis_scope memoised
 
 
-def expr_reads(expr: Expr) -> set[str]:
-    """Variables and external locations read by an expression."""
-    reads: set[str] = set()
-    for node in walk_expressions(expr):
-        if isinstance(node, Name):
-            reads.add(node.ident)
-        elif isinstance(node, Call):
-            if node.func in DB_READ_CALLS:
-                reads.add(DB_LOCATION)
-            elif node.func in DB_WRITE_CALLS:
-                reads.add(DB_LOCATION)
-        elif isinstance(node, MethodCall):
-            if isinstance(node.receiver, Name) and node.receiver.ident in STATIC_RECEIVERS:
-                reads.discard(node.receiver.ident)
-    # Remove static receivers that slipped in as Names.
-    return reads - STATIC_RECEIVERS
+@contextmanager
+def analysis_scope():
+    """Drop the expression facts and statement indexes made inside the
+    block when it ends.  A nested scope belongs to the outermost one."""
+    global _memoised
+    if _memoised is not None:
+        yield
+        return
+    _memoised = []
+    try:
+        yield
+    finally:
+        memoised, _memoised = _memoised, None
+        for obj in memoised:
+            obj._memo = None
 
 
-def expr_writes(expr: Expr) -> set[str]:
-    """Locations written by evaluating an expression (side effects)."""
+def remember(obj, memo):
+    """Keep ``memo`` on the node ``obj`` (read back as ``obj._memo``)."""
+    obj._memo = memo
+    if _memoised is not None:
+        _memoised.append(obj)
+    return memo
+
+
+class ExprFacts(NamedTuple):
+    """What evaluating one expression reads, writes and calls."""
+
+    names: frozenset[str]  # every variable name, static receivers included
+    reads: frozenset[str]  # variables and external locations read
+    writes: frozenset[str]  # locations written
+    calls: tuple[Expr, ...]  # every Call and MethodCall node, pre-order
+    #: Whether evaluating it could be observable: it writes an external
+    #: location, or calls anything but a database read.
+    side_effects: bool
+
+
+NO_FACTS = ExprFacts(_NO_NAMES, _NO_NAMES, _NO_NAMES, (), False)
+
+
+def expr_facts(expr: Expr) -> ExprFacts:
+    """The memoised :class:`ExprFacts` of ``expr``."""
+    facts = expr._memo
+    if facts is None:
+        facts = remember(expr, _compute_facts(expr))
+    return facts
+
+
+def _compute_facts(expr: Expr) -> ExprFacts:
+    names: set[str] = set()
     writes: set[str] = set()
+    calls: list[Expr] = []
+    db = side = False
     for node in walk_expressions(expr):
-        if isinstance(node, Call):
+        kind = type(node)
+        if kind is Name:
+            names.add(node.ident)
+        elif kind is Call:
+            calls.append(node)
+            db = db or node.func in DB_READ_CALLS or node.func in DB_WRITE_CALLS
+            side = side or node.func not in DB_READ_CALLS
             if node.func in DB_WRITE_CALLS:
                 writes.add(DB_LOCATION)
             elif node.func in OUTPUT_CALLS:
                 writes.add(OUT_LOCATION)
-        elif isinstance(node, MethodCall):
-            mutating = node.method in _MUTATING_METHODS or setter_to_column(node.method)
-            if mutating and isinstance(node.receiver, Name):
-                if node.receiver.ident not in STATIC_RECEIVERS:
-                    writes.add(node.receiver.ident)
+        elif kind is MethodCall:
+            calls.append(node)
+            receiver = node.receiver
             if (
-                node.method == "println"
-                and isinstance(node.receiver, FieldAccess)
+                (node.method in _MUTATING_METHODS or setter_to_column(node.method))
+                and isinstance(receiver, Name)
+                and receiver.ident not in STATIC_RECEIVERS
             ):
+                writes.add(receiver.ident)
+            if node.method == "println" and isinstance(receiver, FieldAccess):
                 writes.add(OUT_LOCATION)
-    return writes
+    if not (names or writes or calls):
+        return NO_FACTS
+    reads = names - STATIC_RECEIVERS
+    if db:
+        reads.add(DB_LOCATION)
+    side = side or any(w.startswith("@") for w in writes)
+    return ExprFacts(
+        frozenset(names), frozenset(reads), frozenset(writes), tuple(calls), side
+    )
 
 
 @dataclass(frozen=True)
@@ -121,75 +179,40 @@ class DefUse:
     writes: frozenset[str]
 
 
+_NO_DEF_USE = DefUse(_NO_NAMES, _NO_NAMES)
+_RET_WRITES = frozenset((RET_LOCATION,))
+
+
 def stmt_def_use(stmt: Stmt) -> DefUse:
     """Compute the direct def/use sets of a statement (non-recursive for
     compound statements: only their condition / header counts)."""
-    if isinstance(stmt, Assign):
-        reads = expr_reads(stmt.value)
-        writes = {stmt.target} | expr_writes(stmt.value)
-        return DefUse(frozenset(reads), frozenset(writes))
-    if isinstance(stmt, ExprStmt):
-        reads = expr_reads(stmt.expr)
-        writes = expr_writes(stmt.expr)
+    kind = type(stmt)
+    if kind is Assign:
+        facts = expr_facts(stmt.value)
+        return DefUse(facts.reads, facts.writes | {stmt.target})
+    if kind is ExprStmt:
+        facts = expr_facts(stmt.expr)
         # A mutating method both reads and writes the receiver.
-        reads |= {w for w in writes if not w.startswith("@")}
-        return DefUse(frozenset(reads), frozenset(writes))
-    if isinstance(stmt, If):
-        return DefUse(frozenset(expr_reads(stmt.cond)), frozenset())
-    if isinstance(stmt, ForEach):
-        return DefUse(frozenset(expr_reads(stmt.iterable)), frozenset({stmt.var}))
-    if isinstance(stmt, While):
-        return DefUse(frozenset(expr_reads(stmt.cond)), frozenset())
-    if isinstance(stmt, Return):
-        reads = expr_reads(stmt.value) if stmt.value is not None else set()
-        return DefUse(frozenset(reads), frozenset({RET_LOCATION}))
-    return DefUse(frozenset(), frozenset())
+        receivers = {w for w in facts.writes if not w.startswith("@")}
+        return DefUse(facts.reads | receivers, facts.writes)
+    if kind is If or kind is While:
+        return DefUse(expr_facts(stmt.cond).reads, _NO_NAMES)
+    if kind is ForEach:
+        return DefUse(expr_facts(stmt.iterable).reads, frozenset((stmt.var,)))
+    if kind is Return:
+        reads = expr_facts(stmt.value).reads if stmt.value is not None else _NO_NAMES
+        return DefUse(reads, _RET_WRITES)
+    return _NO_DEF_USE
 
 
 def all_writes(stmt: Stmt) -> set[str]:
     """All locations written anywhere under a statement (recursive)."""
-    writes: set[str] = set()
-
-    def visit(s: Stmt) -> None:
-        writes.update(stmt_def_use(s).writes)
-        for child in _children(s):
-            visit(child)
-
-    visit(stmt)
-    return writes
+    return set().union(*(stmt_def_use(s).writes for s in walk_statements(stmt)))
 
 
 def all_reads(stmt: Stmt) -> set[str]:
     """All locations read anywhere under a statement (recursive)."""
-    reads: set[str] = set()
-
-    def visit(s: Stmt) -> None:
-        reads.update(stmt_def_use(s).reads)
-        for child in _children(s):
-            visit(child)
-
-    visit(stmt)
-    return reads
-
-
-def _children(stmt: Stmt) -> list[Stmt]:
-    if isinstance(stmt, Block):
-        return list(stmt.statements)
-    if isinstance(stmt, If):
-        children: list[Stmt] = list(stmt.then_body.statements)
-        if stmt.else_body is not None:
-            children.extend(stmt.else_body.statements)
-        return children
-    if isinstance(stmt, (ForEach, While)):
-        return list(stmt.body.statements)
-    if isinstance(stmt, TryCatch):
-        children = list(stmt.try_body.statements)
-        if stmt.catch_body is not None:
-            children.extend(stmt.catch_body.statements)
-        if stmt.finally_body is not None:
-            children.extend(stmt.finally_body.statements)
-        return children
-    return []
+    return set().union(*(stmt_def_use(s).reads for s in walk_statements(stmt)))
 
 
 # ----------------------------------------------------------------------
@@ -227,21 +250,10 @@ def _flatten_with_control(
     result: list[tuple[Stmt, list[int]]] = []
     for stmt in block.statements:
         result.append((stmt, list(control)))
-        if isinstance(stmt, If):
-            inner_control = control + [stmt.sid]
-            result.extend(_flatten_with_control(stmt.then_body, inner_control))
-            if stmt.else_body is not None:
-                result.extend(_flatten_with_control(stmt.else_body, inner_control))
-        elif isinstance(stmt, (ForEach, While)):
-            result.extend(_flatten_with_control(stmt.body, control + [stmt.sid]))
-        elif isinstance(stmt, Block):
-            result.extend(_flatten_with_control(stmt, control))
-        elif isinstance(stmt, TryCatch):
-            result.extend(_flatten_with_control(stmt.try_body, control))
-            if stmt.catch_body is not None:
-                result.extend(_flatten_with_control(stmt.catch_body, control))
-            if stmt.finally_body is not None:
-                result.extend(_flatten_with_control(stmt.finally_body, control))
+        controls = isinstance(stmt, (If, ForEach, While))
+        for child in child_blocks(stmt):
+            inner = control + [stmt.sid] if controls else control
+            result.extend(_flatten_with_control(child, inner))
     return result
 
 
@@ -255,9 +267,7 @@ def build_loop_ddg(body: Block, cursor_var: str | None = None) -> DependenceGrap
     """
     flat = _flatten_with_control(body, [])
     graph = DependenceGraph(statements=[stmt for stmt, _ in flat])
-    summaries = {stmt.sid: stmt_def_use(stmt) for stmt, _ in flat}
-    order = [stmt.sid for stmt, _ in flat]
-    position = {sid: i for i, sid in enumerate(order)}
+    summaries = [stmt_def_use(stmt) for stmt, _ in flat]
 
     # Control dependences.
     for stmt, controllers in flat:
@@ -265,45 +275,28 @@ def build_loop_ddg(body: Block, cursor_var: str | None = None) -> DependenceGrap
             graph.edges.append(Dependence(controller, stmt.sid, "control"))
 
     # Flow dependences (conservative: no kill analysis; extra edges only make
-    # slices larger, never unsound).
-    for writer, _ in flat:
-        written = summaries[writer.sid].writes
-        if not written:
-            continue
-        for reader, _ in flat:
-            common = written & summaries[reader.sid].reads
-            common = {c for c in common if not c.startswith("@")}
-            if not common:
-                continue
-            for location in common:
-                if position[writer.sid] < position[reader.sid]:
-                    graph.edges.append(
-                        Dependence(writer.sid, reader.sid, "flow", location)
-                    )
-                else:
-                    # A read at or before the write observes the previous
-                    # iteration's value: a loop-carried flow dependence.
-                    if cursor_var is not None and location == cursor_var:
-                        continue  # the cursor's own advance is exempt (P2)
-                    graph.edges.append(
-                        Dependence(writer.sid, reader.sid, "lcfd", location)
-                    )
+    # slices larger, never unsound).  A read at or before the write observes
+    # the previous iteration's value: a loop-carried flow dependence, except
+    # the cursor's own advance (P2).
+    for i, (writer, _) in enumerate(flat):
+        for j, (reader, _) in enumerate(flat):
+            for location in summaries[i].writes & summaries[j].reads:
+                if location.startswith("@") or (j <= i and location == cursor_var):
+                    continue
+                kind = "flow" if i < j else "lcfd"
+                graph.edges.append(Dependence(writer.sid, reader.sid, kind, location))
 
     # External dependences: any pair touching the same external location with
     # at least one write.
-    external = (DB_LOCATION, OUT_LOCATION)
-    for first, _ in flat:
-        for second, _ in flat:
-            if position[first.sid] > position[second.sid]:
-                continue
-            for location in external:
-                first_w = location in summaries[first.sid].writes
-                second_w = location in summaries[second.sid].writes
-                first_touch = first_w or location in summaries[first.sid].reads
-                second_touch = second_w or location in summaries[second.sid].reads
-                if first_touch and second_touch and (first_w or second_w):
+    for i, (first, _) in enumerate(flat):
+        for j in range(i, len(flat)):
+            pair = (summaries[i], summaries[j])
+            for location in (DB_LOCATION, OUT_LOCATION):
+                if any(location in s.writes for s in pair) and all(
+                    location in s.writes or location in s.reads for s in pair
+                ):
                     graph.edges.append(
-                        Dependence(first.sid, second.sid, "external", location)
+                        Dependence(first.sid, flat[j][0].sid, "external", location)
                     )
     return graph
 
@@ -374,11 +367,12 @@ def live_before(
 
 def live_after_loops(func: FunctionDef) -> dict[int, set[str]]:
     """Variables live immediately after each loop of a function, by loop sid."""
+    from .index import function_index
+
     _, live_after = live_before(func.body.statements, {RET_LOCATION})
     return {
         stmt.sid: {v for v in live_after[stmt.sid] if not v.startswith("@")}
-        for stmt in walk_statements(func.body)
-        if isinstance(stmt, (ForEach, While))
+        for stmt in function_index(func).loops
     }
 
 
@@ -418,7 +412,7 @@ def _transfer(
             if stmt.else_body is not None
             else live
         )
-        return then_live | else_live | expr_reads(stmt.cond)
+        return then_live | else_live | expr_facts(stmt.cond).reads
     if isinstance(stmt, (ForEach, While)):
         key = id(stmt)
         if key not in exposed:
@@ -426,11 +420,11 @@ def _transfer(
         body_live = live | exposed[key]
         if isinstance(stmt, While):
             # After the body the condition is tested again.
-            body_live |= expr_reads(stmt.cond)
+            body_live |= expr_facts(stmt.cond).reads
         if live_after is not None:
             _live_in(stmt.body.statements, body_live, exposed, live_after)
         if isinstance(stmt, ForEach):
-            return (body_live - {stmt.var}) | expr_reads(stmt.iterable)
+            return (body_live - {stmt.var}) | expr_facts(stmt.iterable).reads
         return body_live
     if isinstance(stmt, TryCatch):
         result = set(live)

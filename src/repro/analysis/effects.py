@@ -26,9 +26,6 @@ from ..lang import (
     Program,
     Return,
     Ternary,
-    statement_expressions,
-    walk_expressions,
-    walk_statements,
 )
 from .dataflow import (
     DB_READ_CALLS,
@@ -37,6 +34,7 @@ from .dataflow import (
     STATIC_RECEIVERS,
     _MUTATING_METHODS,
 )
+from .index import FunctionIndex, function_index
 
 #: Free-call names with modelled semantics (not user functions).
 BUILTIN_CALLS = DB_READ_CALLS | DB_WRITE_CALLS | OUTPUT_CALLS
@@ -76,12 +74,11 @@ class _Facts:
     calls_unknown: bool = False
     mutates_params: set[int] = field(default_factory=set)
     escapes_params: set[int] = field(default_factory=set)
-    #: (callee name, arg-position → caller-param-position) for user calls
-    calls: list[tuple[str, dict[int, int]]] = field(default_factory=list)
-    #: (callee name, arg-position → caller-param-positions *aliased* by the
-    #: argument) — a superset of ``calls``' map, used only for escape
+    #: (callee name, arg-position → caller-param-position, arg-position →
+    #: caller-param-positions *aliased* by the argument) for user calls.  The
+    #: second map is a superset of the first, used only for escape
     #: propagation so mutation propagation keeps its historical precision.
-    calls_aliased: list[tuple[str, dict[int, frozenset[int]]]] = field(
+    calls: list[tuple[str, dict[int, int], dict[int, frozenset[int]]]] = field(
         default_factory=list
     )
 
@@ -92,41 +89,30 @@ def function_effects(program: Program) -> dict[str, EffectSummary]:
     facts = {func.name: _direct_facts(func, defined) for func in program.functions}
     recursive = _functions_on_cycles(facts)
 
+    def state(fact: _Facts) -> tuple:
+        return (
+            fact.db_read, fact.db_write, fact.output, fact.calls_unknown,
+            frozenset(fact.mutates_params), frozenset(fact.escapes_params),
+        )
+
     # Fixpoint propagation over the call graph.
     changed = True
     while changed:
         changed = False
-        for name, fact in facts.items():
-            for callee, arg_map in fact.calls:
+        for fact in facts.values():
+            before = state(fact)
+            for callee, arg_map, alias_map in fact.calls:
                 other = facts[callee]
-                before = (
-                    fact.db_read,
-                    fact.db_write,
-                    fact.output,
-                    fact.calls_unknown,
-                    frozenset(fact.mutates_params),
-                )
                 fact.db_read |= other.db_read
                 fact.db_write |= other.db_write
                 fact.output |= other.output
                 fact.calls_unknown |= other.calls_unknown
-                for pos in other.mutates_params:
-                    if pos in arg_map:
-                        fact.mutates_params.add(arg_map[pos])
-                after = (
-                    fact.db_read,
-                    fact.db_write,
-                    fact.output,
-                    fact.calls_unknown,
-                    frozenset(fact.mutates_params),
+                fact.mutates_params.update(
+                    arg_map[pos] for pos in other.mutates_params if pos in arg_map
                 )
-                changed |= before != after
-            for callee, alias_map in fact.calls_aliased:
-                other = facts[callee]
-                before_escapes = frozenset(fact.escapes_params)
                 for pos in other.escapes_params:
                     fact.escapes_params |= alias_map.get(pos, frozenset())
-                changed |= before_escapes != frozenset(fact.escapes_params)
+            changed |= state(fact) != before
 
     return {
         name: EffectSummary(
@@ -142,7 +128,7 @@ def function_effects(program: Program) -> dict[str, EffectSummary]:
     }
 
 
-def _param_aliases(func: FunctionDef) -> dict[str, frozenset[int]]:
+def _param_aliases(index: FunctionIndex) -> dict[str, frozenset[int]]:
     """Flow-insensitive closure: variable → parameter positions it may alias.
 
     Deliberately coarse — any assignment whose right-hand side *reads* a
@@ -152,26 +138,24 @@ def _param_aliases(func: FunctionDef) -> dict[str, frozenset[int]]:
     soundness.
     """
     alias: dict[str, set[int]] = {
-        name: {i} for i, name in enumerate(func.params)
+        name: {i} for i, name in enumerate(index.func.params)
     }
+    flows = []
+    for info in index.entries:
+        stmt = info.stmt
+        if isinstance(stmt, Assign):
+            flows.append((stmt.target, info.facts.names))
+        elif isinstance(stmt, ForEach):
+            flows.append((stmt.var, info.facts.names))
     changed = True
     while changed:
         changed = False
-        for stmt in walk_statements(func.body):
-            target: str | None = None
+        for target, names in flows:
             sources: set[int] = set()
-            if isinstance(stmt, Assign):
-                target = stmt.target
-                reads = walk_expressions(stmt.value)
-            elif isinstance(stmt, ForEach):
-                target = stmt.var
-                reads = walk_expressions(stmt.iterable)
-            else:
-                continue
-            for node in reads:
-                if isinstance(node, Name) and node.ident in alias:
-                    sources |= alias[node.ident]
-            if target is not None and sources:
+            for name in names:
+                if name in alias:
+                    sources |= alias[name]
+            if sources:
                 current = alias.setdefault(target, set())
                 if not sources <= current:
                     current |= sources
@@ -214,82 +198,72 @@ def _expr_param_aliases(expr, alias: dict[str, frozenset[int]]) -> frozenset[int
 def _direct_facts(func: FunctionDef, defined: set[str]) -> _Facts:
     fact = _Facts()
     params = {name: i for i, name in enumerate(func.params)}
-    alias = _param_aliases(func)
-    for stmt in walk_statements(func.body):
+    index = function_index(func)
+    alias = _param_aliases(index)
+    for info in index.entries:
+        stmt = info.stmt
         if isinstance(stmt, Return) and stmt.value is not None:
             fact.escapes_params |= _expr_param_aliases(stmt.value, alias)
-    for stmt in walk_statements(func.body):
-        for expr in statement_expressions(stmt):
-            for node in walk_expressions(expr):
-                if isinstance(node, Call):
-                    if node.func in DB_WRITE_CALLS:
-                        fact.db_write = True
-                    elif node.func in DB_READ_CALLS:
-                        fact.db_read = True
-                    elif node.func in OUTPUT_CALLS:
-                        fact.output = True
-                    elif node.func in defined:
-                        arg_map = {
-                            i: params[arg.ident]
-                            for i, arg in enumerate(node.args)
-                            if isinstance(arg, Name) and arg.ident in params
-                        }
-                        fact.calls.append((node.func, arg_map))
-                        fact.calls_aliased.append(
-                            (
-                                node.func,
-                                {
-                                    i: _expr_param_aliases(arg, alias)
-                                    for i, arg in enumerate(node.args)
-                                },
-                            )
-                        )
-                    else:
-                        fact.calls_unknown = True
-                        for arg in node.args:
-                            fact.escapes_params |= _expr_param_aliases(arg, alias)
-                elif isinstance(node, MethodCall):
-                    if (
-                        node.method in ("println", "print")
-                        and isinstance(node.receiver, FieldAccess)
-                        and isinstance(node.receiver.receiver, Name)
-                        and node.receiver.receiver.ident == "System"
-                    ):
-                        fact.output = True
-                        continue
-                    mutating = (
-                        node.method in _MUTATING_METHODS
-                        or setter_to_column(node.method) is not None
-                    )
-                    if (
-                        mutating
-                        and isinstance(node.receiver, Name)
-                        and node.receiver.ident not in STATIC_RECEIVERS
-                    ):
-                        if node.receiver.ident in params:
-                            fact.mutates_params.add(params[node.receiver.ident])
-                        # Storing a param-aliasing value into another object
-                        # lets it outlive this frame's view of it.
-                        for arg in node.args:
-                            fact.escapes_params |= _expr_param_aliases(arg, alias)
+        for node in info.facts.calls:
+            if isinstance(node, Call):
+                if node.func in DB_WRITE_CALLS:
+                    fact.db_write = True
+                elif node.func in DB_READ_CALLS:
+                    fact.db_read = True
+                elif node.func in OUTPUT_CALLS:
+                    fact.output = True
+                elif node.func in defined:
+                    arg_map = {
+                        i: params[arg.ident]
+                        for i, arg in enumerate(node.args)
+                        if isinstance(arg, Name) and arg.ident in params
+                    }
+                    aliased = {
+                        i: _expr_param_aliases(arg, alias)
+                        for i, arg in enumerate(node.args)
+                    }
+                    fact.calls.append((node.func, arg_map, aliased))
+                else:
+                    fact.calls_unknown = True
+                    for arg in node.args:
+                        fact.escapes_params |= _expr_param_aliases(arg, alias)
+            elif isinstance(node, MethodCall):
+                if (
+                    node.method in ("println", "print")
+                    and isinstance(node.receiver, FieldAccess)
+                    and isinstance(node.receiver.receiver, Name)
+                    and node.receiver.receiver.ident == "System"
+                ):
+                    fact.output = True
+                    continue
+                mutating = (
+                    node.method in _MUTATING_METHODS
+                    or setter_to_column(node.method) is not None
+                )
+                if (
+                    mutating
+                    and isinstance(node.receiver, Name)
+                    and node.receiver.ident not in STATIC_RECEIVERS
+                ):
+                    if node.receiver.ident in params:
+                        fact.mutates_params.add(params[node.receiver.ident])
+                    # Storing a param-aliasing value into another object
+                    # lets it outlive this frame's view of it.
+                    for arg in node.args:
+                        fact.escapes_params |= _expr_param_aliases(arg, alias)
     return fact
 
 
 def _functions_on_cycles(facts: dict[str, _Facts]) -> set[str]:
     """Names of functions that can (transitively) call themselves."""
-    edges = {name: {callee for callee, _ in fact.calls} for name, fact in facts.items()}
-
     # Transitive closure of reachability; a function is recursive when it
     # reaches itself.  Program call graphs here are tiny, so O(n·e) is fine.
-    reach: dict[str, set[str]] = {name: set(out) for name, out in edges.items()}
+    reach = {name: {callee for callee, _, _ in f.calls} for name, f in facts.items()}
     changed = True
     while changed:
         changed = False
-        for name, out in reach.items():
-            extra: set[str] = set()
-            for callee in out:
-                extra |= reach.get(callee, set())
-            if not extra <= out:
-                out |= extra
-                changed = True
+        for out in reach.values():
+            extra = set().union(*(reach.get(callee, ()) for callee in out)) - out
+            out |= extra
+            changed |= bool(extra)
     return {name for name, out in reach.items() if name in out}

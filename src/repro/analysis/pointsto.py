@@ -45,10 +45,9 @@ from ..lang import (
     Stmt,
     Ternary,
     statement_expressions,
-    walk_expressions,
 )
 from .cfg import build_cfg
-from .dataflow import DB_READ_CALLS, STATIC_RECEIVERS
+from .dataflow import DB_READ_CALLS, STATIC_RECEIVERS, expr_facts
 from .dominators import reverse_postorder
 from .effects import BUILTIN_CALLS, EffectSummary
 
@@ -231,7 +230,7 @@ def analyze_pointsto(
             mark_escaped(objs_of(stmt.value, env, stmt.sid))
 
         for expr in statement_expressions(stmt):
-            for node in walk_expressions(expr):
+            for node in expr_facts(expr).calls:
                 if isinstance(node, Call) and node.func not in BUILTIN_CALLS:
                     summary = summaries.get(node.func)
                     for pos, arg in enumerate(node.args):

@@ -46,7 +46,6 @@ from ..lang import (
     BoolLit,
     Call,
     Expr,
-    ExprStmt,
     FloatLit,
     ForEach,
     FunctionDef,
@@ -54,16 +53,14 @@ from ..lang import (
     IntLit,
     MethodCall,
     Name,
-    Return,
     Stmt,
     StringLit,
     Ternary,
     Unary,
-    While,
-    walk_expressions,
+    statement_expressions,
 )
 from .cfg import CFG, build_cfg
-from .dataflow import STATIC_RECEIVERS, _MUTATING_METHODS
+from .dataflow import STATIC_RECEIVERS, _MUTATING_METHODS, expr_facts
 from .dominators import immediate_dominators
 from .effects import BUILTIN_CALLS, EffectSummary
 
@@ -175,25 +172,16 @@ def _stmt_defs(
     statement, so the relative order of multiple defs does not matter.
     """
     defs: list[tuple[str, str, Expr | None]] = []
-    exprs: list[Expr] = []
     if isinstance(stmt, Assign):
         defs.append((stmt.target, "assign", stmt.value))
-        exprs.append(stmt.value)
-    elif isinstance(stmt, ExprStmt):
-        exprs.append(stmt.expr)
     elif isinstance(stmt, ForEach):
         defs.append((stmt.var, "cursor", None))
         if isinstance(stmt.iterable, Name):
             # Iterating may consume a forward-only cursor.
             defs.append((stmt.iterable.ident, "mutate", None))
-        exprs.append(stmt.iterable)
-    elif isinstance(stmt, (If, While)):
-        exprs.append(stmt.cond)
-    elif isinstance(stmt, Return) and stmt.value is not None:
-        exprs.append(stmt.value)
 
-    for expr in exprs:
-        for node in walk_expressions(expr):
+    for expr in statement_expressions(stmt):
+        for node in expr_facts(expr).calls:
             if isinstance(node, MethodCall):
                 if (
                     isinstance(node.receiver, Name)
@@ -233,11 +221,13 @@ def build_ssa(
 
     # -- collect def sites per variable --------------------------------
     def_blocks: dict[str, set[int]] = {}
+    stmt_defs: dict[int, list] = {}  # by id(stmt), for renaming below
     for block in cfg.blocks:
         if block.index not in idom:
             continue
         for stmt in block.statements:
-            for var, _kind, _rhs in _stmt_defs(stmt, effects):
+            stmt_defs[id(stmt)] = defs = _stmt_defs(stmt, effects)
+            for var, _kind, _rhs in defs:
                 def_blocks.setdefault(var, set()).add(block.index)
     for param in func.params:
         def_blocks.setdefault(param, set()).add(cfg.entry)
@@ -298,7 +288,7 @@ def build_ssa(
             ssa.env_before[stmt.sid] = {
                 var: stack[-1] for var, stack in stacks.items() if stack
             }
-            for var, kind, rhs in _stmt_defs(stmt, effects):
+            for var, kind, rhs in stmt_defs[id(stmt)]:
                 vid = new_value(var, kind, stmt.sid, block_index, rhs)
                 stacks.setdefault(var, []).append(vid)
                 pushed.append(var)

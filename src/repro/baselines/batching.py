@@ -16,17 +16,9 @@ batched join.  Two pieces are reproduced here:
 
 from __future__ import annotations
 
-from ..analysis import DB_READ_CALLS, DB_WRITE_CALLS
+from ..analysis import DB_READ_CALLS, DB_WRITE_CALLS, function_index
 from ..db import Connection, Database, row_size_bytes
-from ..lang import (
-    Call,
-    ForEach,
-    Program,
-    parse_program,
-    walk_expressions,
-    walk_statements,
-    statement_expressions,
-)
+from ..lang import Call, Program, parse_program
 from ..sqlparse import parse_query
 
 
@@ -34,19 +26,14 @@ def batching_applicable(source: str | Program, function: str) -> bool:
     """True when the function contains a cursor loop that issues a
     (parameterized) query per iteration — the batching precondition."""
     program = parse_program(source) if isinstance(source, str) else source
-    func = program.function(function)
-    for stmt in walk_statements(func.body):
-        if not isinstance(stmt, ForEach):
-            continue
-        for inner in walk_statements(stmt.body):
-            for expr in statement_expressions(inner):
-                for node in walk_expressions(expr):
-                    # Reads and writes both batch (parameter-table rewrite).
-                    if isinstance(node, Call) and node.func in (
-                        DB_READ_CALLS | DB_WRITE_CALLS | {"executeScalar"}
-                    ):
-                        return True
-    return False
+    # Reads and writes both batch (parameter-table rewrite).
+    batched = DB_READ_CALLS | DB_WRITE_CALLS | {"executeScalar"}
+    return any(
+        isinstance(node, Call) and node.func in batched
+        for info in function_index(program.function(function)).entries
+        if info.cursor_loop is not None
+        for node in info.facts.calls
+    )
 
 
 def run_batched_report(

@@ -20,19 +20,15 @@ from ..sqlparse import parse_query
 def prefetch_applicable(source, function) -> bool:
     """Prefetching applies whenever the code executes any query at all
     (the paper: "prefetching is possible in all cases we examined")."""
-    from ..analysis import DB_READ_CALLS
-    from ..lang import Call, parse_program, statement_expressions, walk_expressions, walk_statements
+    from ..analysis import DB_READ_CALLS, function_index
+    from ..lang import Call, parse_program
 
     program = parse_program(source) if isinstance(source, str) else source
-    func = program.function(function)
-    for stmt in walk_statements(func.body):
-        for expr in statement_expressions(stmt):
-            for node in walk_expressions(expr):
-                if isinstance(node, Call) and node.func in (
-                    DB_READ_CALLS | {"executeScalar"}
-                ):
-                    return True
-    return False
+    return any(
+        isinstance(node, Call) and node.func in DB_READ_CALLS | {"executeScalar"}
+        for info in function_index(program.function(function)).entries
+        for node in info.facts.calls
+    )
 
 
 def run_prefetch_report(

@@ -22,6 +22,7 @@ import time
 from dataclasses import dataclass, field
 
 from ..algebra import Catalog
+from ..analysis import analysis_scope, function_index
 from ..fir import (
     check_preconditions_ddg,
     loop_to_fold,
@@ -42,7 +43,7 @@ from ..ir import (
     walk_enodes,
 )
 from ..frontends import get_frontend
-from ..lang import Name, Program
+from ..lang import Assign, Name, Program
 # Submodule imports (not ``..lint``) keep the import graph acyclic: the
 # lint package's __init__ pulls in the batch layer, which imports core.
 from ..lint.codes import code_info
@@ -192,6 +193,7 @@ class ExtractionReport:
         }
 
 
+@analysis_scope()
 def extract_sql(
     source: str | Program,
     function: str,
@@ -298,6 +300,7 @@ def _attach_rewrite_plan(report: ExtractionReport, catalog, options) -> None:
                 extraction.rewrite = serialized
 
 
+@analysis_scope()
 def optimize_program(
     source: str | Program,
     function: str,
@@ -431,10 +434,9 @@ def _span_for(target, loop_sid, loop_stmts, func) -> SourceSpan:
     stmt = loop_stmts.get(loop_sid)
     if stmt is not None and stmt.line:
         return SourceSpan(stmt.line, stmt.col)
-    from ..lang import Assign, walk_statements
-
     best = None
-    for s in walk_statements(func.body):
+    for info in function_index(func).entries:
+        s = info.stmt
         if isinstance(s, Assign) and s.target == target and s.line:
             best = s
     if best is not None:

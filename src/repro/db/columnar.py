@@ -65,7 +65,13 @@ from ..algebra import (
     UnOp,
     walk_scalar,
 )
-from .engine import EngineError, _apply_func, _hashable, _like_regex
+from .engine import (
+    EngineError,
+    _apply_func,
+    _hashable,
+    _like_regex,
+    check_aggregate_arguments,
+)
 from .physical import ExecContext, PhysicalOp, _tuples_equal, scan_layout
 from .types import (
     Row,
@@ -601,6 +607,8 @@ class ColumnarPipeline(PhysicalOp):
     # ------------------------------------------------------------------
 
     def _rows(self, ctx: ExecContext, outer: Row | None) -> Iterator[Row]:
+        if self.head_kind == "aggregate":
+            check_aggregate_arguments(self.head_node)
         db = ctx.db
         rows = db.rows(self.name)
         n = len(rows)

@@ -89,6 +89,15 @@ class EngineDivergenceError(EngineError):
     """Raised by ``engine="both"`` when planned and reference rows differ."""
 
 
+def check_aggregate_arguments(node: Aggregate) -> None:
+    """Raise the one error every engine gives an aggregate call with no
+    argument other than ``COUNT(*)``, whatever rows it would fold."""
+    for item in node.aggs:
+        if item.call.arg is None and item.call.func != "count":
+            func = item.call.func.upper()
+            raise EngineError(f"{func}(*) has no argument: only COUNT(*) may omit it")
+
+
 class Database:
     """A named collection of in-memory tables plus their catalog."""
 
@@ -595,6 +604,7 @@ class ReferenceEvaluator:
         return result
 
     def _eval_aggregate(self, node: Aggregate, outer: Row | None) -> list[Row]:
+        check_aggregate_arguments(node)
         child = self.eval_rel(node.child, outer)
         if not node.group_by:
             return [self._fold_group(node, (), child, outer)]
@@ -903,7 +913,13 @@ def _output_names_best_effort(
 ) -> list[str]:
     """Column names an empty join/apply branch must pad with NULLs."""
     if isinstance(node, Project):
-        return [item.output_name for item in node.items]
+        names = []
+        for item in node.items:
+            if isinstance(item.expr, Col) and item.expr.name == "*":
+                names.extend(_output_names_best_effort(node.child, catalog))
+            else:
+                names.append(item.output_name)
+        return names
     if isinstance(node, Aggregate):
         names = [
             g.name if isinstance(g, Col) else str(g) for g in node.group_by

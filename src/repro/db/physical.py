@@ -33,6 +33,7 @@ from .engine import (
     _FingerprintColumns,
     _output_names_best_effort,
     _pad_left_row,
+    check_aggregate_arguments,
 )
 from .types import Row, is_truthy, sql_compare
 
@@ -364,7 +365,13 @@ class LimitOp(PhysicalOp):
             # reference implementation exactly.
             yield from list(self.child.execute(ctx, outer))[: self.count]
             return
-        yield from islice(self.child.execute(ctx, outer), self.count)
+        rows = self.child.execute(ctx, outer)
+        if self.count == 0:
+            # Start the child anyway, so an error it raises on its way to
+            # the first row (an unknown table) surfaces as the reference's.
+            next(rows, None)
+            return
+        yield from islice(rows, self.count)
 
 
 class DistinctOp(PhysicalOp):
@@ -853,6 +860,7 @@ class HashAggregate(PhysicalOp):
 
     def _rows(self, ctx: ExecContext, outer: Row | None) -> Iterator[Row]:
         node = self.node
+        check_aggregate_arguments(node)
         scalar = ctx.scalar
         child = self.child.execute(ctx, outer)
 

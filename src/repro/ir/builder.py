@@ -23,16 +23,18 @@ from dataclasses import dataclass, field
 from ..algebra import Lit, bind_rel_params, query_params
 from ..analysis import (
     DB_LOCATION,
-    all_writes,
     BasicBlockRegion,
     ConditionalRegion,
     EmptyRegion,
+    FunctionIndex,
     LoopRegion,
     OpaqueRegion,
     Region,
     SequentialRegion,
     build_region,
+    function_index,
 )
+from ..analysis.dataflow import STATIC_RECEIVERS
 from ..interp.values import getter_to_column, setter_to_column
 from ..lang import (
     Assign,
@@ -44,7 +46,6 @@ from ..lang import (
     FieldAccess,
     FloatLit,
     ForEach,
-    FunctionDef,
     IntLit,
     MethodCall,
     Name,
@@ -64,9 +65,7 @@ from .nodes import (
     ENode,
     EOp,
     EQuery,
-    EVar,
     OPAQUE,
-    free_vars,
 )
 from .subst import bind_vars, substitute
 
@@ -109,16 +108,6 @@ _METHOD_OPS = {
     "longValue": "identity",
 }
 
-_STATIC_RECEIVERS = {
-    "Math",
-    "Integer",
-    "Double",
-    "String",
-    "System",
-    "Collections",
-    "Objects",
-}
-
 _MUTATORS_APPEND = {"add", "append", "addAll"}
 
 
@@ -129,8 +118,6 @@ class DIRContext:
     program: Program
     dag: DagBuilder = field(default_factory=DagBuilder)
     max_inline_depth: int = 8
-    #: loop_sid → the ForEach statement, for DDG checks and rewriting.
-    loop_index: dict[int, ForEach] = field(default_factory=dict)
     #: Collection-kind hints (var name → "set" | "list" | "map"), gathered
     #: from `new HashSet()` etc. assignments anywhere in the function; used
     #: to pick append vs insert when the allocation is outside the region.
@@ -145,6 +132,9 @@ class DIRBuilder:
     def __init__(self, context: DIRContext):
         self.ctx = context
         self.dag = context.dag
+        #: Statement index of the function being built (a callee's while
+        #: it is inlined).
+        self._index: FunctionIndex | None = None
 
     # ------------------------------------------------------------------
     # Entry points
@@ -155,8 +145,9 @@ class DIRBuilder:
         if cached is not None:
             return cached
         func = self.ctx.program.function(name)
-        region = build_region(func.body)
-        ve = self.build_region(region)
+        outer, self._index = self._index, function_index(func)
+        ve = self.build_region(build_region(func.body))
+        self._index = outer
         self.ctx._function_cache[name] = ve
         return ve
 
@@ -177,7 +168,7 @@ class DIRBuilder:
         if isinstance(region, LoopRegion):
             return self._build_loop(region)
         if isinstance(region, OpaqueRegion):
-            return self._build_opaque(region)
+            return self._opaque_writes(region.stmt)
         raise TypeError(f"cannot build D-IR for {type(region).__name__}")
 
     def merge_sequential(
@@ -217,7 +208,8 @@ class DIRBuilder:
         assert region.stmt is not None and isinstance(region.stmt, ForEach)
         cursor = region.cursor_var
         assert cursor is not None and region.iterable is not None
-        if self._has_abnormal_control_flow(region.stmt):
+        info = self._index.info(region.stmt)
+        if info.exits:
             # `break`/`continue`/`try` inside the body changes which rows
             # contribute; the whole loop is unanalysable (paper Section 2:
             # "we assume that loops do not contain unconditional exit
@@ -226,11 +218,9 @@ class DIRBuilder:
             return self._opaque_writes(region.stmt)
         source = self._convert(region.iterable, {})
         body_ve = self.build_region(region.body)
-        self.ctx.loop_index[region.stmt.sid] = region.stmt
 
         updated = tuple(sorted(name for name in body_ve if name != cursor))
-        writes = all_writes(region.stmt)
-        if DB_LOCATION in writes and DB_LOCATION not in updated:
+        if DB_LOCATION in info.writes and DB_LOCATION not in updated:
             updated = tuple(sorted(updated + (DB_LOCATION,)))
 
         bound_names = set(updated) | {cursor}
@@ -252,26 +242,12 @@ class DIRBuilder:
             )
         return ve
 
-    @staticmethod
-    def _has_abnormal_control_flow(stmt: ForEach) -> bool:
-        from ..lang import Break, Continue, Return, TryCatch, walk_statements
-
-        return any(
-            isinstance(s, (Break, Continue, Return, TryCatch))
-            for s in walk_statements(stmt.body)
-        )
-
-    def _build_opaque(self, region: OpaqueRegion) -> dict[str, ENode]:
-        if region.stmt is None:
-            return {}
-        return self._opaque_writes(region.stmt)
-
     def _opaque_writes(self, stmt: Stmt | None) -> dict[str, ENode]:
         if stmt is None:
             return {}
         return {
             name: OPAQUE
-            for name in all_writes(stmt)
+            for name in self._index.info(stmt).writes
             if name == DB_LOCATION or not name.startswith("@")
         }
 
@@ -302,7 +278,7 @@ class DIRBuilder:
     def _apply_expr_statement(self, expr: Expr, ve: dict[str, ENode]) -> None:
         if isinstance(expr, MethodCall) and isinstance(expr.receiver, Name):
             receiver = expr.receiver.ident
-            if receiver in _STATIC_RECEIVERS:
+            if receiver in STATIC_RECEIVERS:
                 return  # e.g. a bare Math.max(...) — no effect
             current = ve.get(receiver, self.dag.var(receiver))
             if expr.method in _MUTATORS_APPEND:
@@ -489,7 +465,7 @@ class DIRBuilder:
         return self._inline_function_value(expr, ve)
 
     def _convert_method(self, expr: MethodCall, ve: dict[str, ENode]) -> ENode:
-        if isinstance(expr.receiver, Name) and expr.receiver.ident in _STATIC_RECEIVERS:
+        if isinstance(expr.receiver, Name) and expr.receiver.ident in STATIC_RECEIVERS:
             cls, method = expr.receiver.ident, expr.method
             args = [self._convert(a, ve) for a in expr.args]
             if cls == "Math" and method in ("max", "min"):

@@ -53,9 +53,11 @@ from dataclasses import replace
 
 from ..analysis.dataflow import all_reads, all_writes
 from ..analysis.effects import EffectSummary, function_effects
+from ..analysis.index import function_index
 from ..analysis.ssa import SCCPResult, SSAForm, build_ssa, resolve_copy, sccp
 from ..interp.values import setter_to_column
 from ..lang import (
+    EXPRESSION_FIELD,
     Assign,
     Block,
     BoolLit,
@@ -80,6 +82,7 @@ from ..lang import (
     clone_statements,
     number_statements,
     statement_expressions,
+    walk_expressions,
     walk_statements,
 )
 
@@ -96,8 +99,18 @@ def preprocess_program(program: Program, precision: bool = True) -> Program:
     folding, dead-branch pruning, copy propagation); the paper's own
     normalisations always run.
     """
+    # Effect summaries sharpen SSA only at a call to a function of this
+    # program; every other call is opaque with or without them.  They are
+    # read off the input, which this pass leaves as it was.
+    defined = {func.name for func in program.functions}
+    calls_own = any(
+        isinstance(node, Call) and node.func in defined
+        for func in program.functions
+        for info in function_index(func).entries
+        for node in info.facts.calls
+    )
+    effects = function_effects(program) if precision and calls_own else None
     result = clone_statements(program)
-    effects = function_effects(result) if precision else None
     for func in result.functions:
         _preprocess_function(func, effects=effects, precision=precision)
     number_statements(result)
@@ -137,14 +150,14 @@ def _apply_precision(
         number_statements(func)
         ssa = build_ssa(func, effects)
         result = sccp(ssa)
-        changed = _fold_constants(func, result)
+        changed = _fold_constants(result)
         changed |= _prune_dead_branches(func.body, result)
         if not changed:
             break
     else:
         number_statements(func)
         ssa = build_ssa(func, effects)
-    _propagate_copies(func, ssa)
+    _propagate_copies(ssa)
 
 
 def _literal_for(value, template: Expr) -> Expr | None:
@@ -158,15 +171,12 @@ def _literal_for(value, template: Expr) -> Expr | None:
     return None
 
 
-def _fold_constants(func: FunctionDef, result: SCCPResult) -> bool:
+def _fold_constants(result: SCCPResult) -> bool:
     """Replace proven-constant variable uses (and the pure operator trees
-    they complete) with literal nodes, in executable statements only."""
-    executable_sids = {
-        stmt.sid
-        for block in result.ssa.cfg.blocks
-        if block.index in result.executable_blocks
-        for stmt in block.statements
-    }
+    they complete) with literal nodes, in executable statements only.
+
+    Every statement with an expression sits in exactly one CFG block, so
+    the executable blocks list exactly the statements to fold."""
     changed = False
 
     def fold(expr: Expr, sid: int) -> Expr:
@@ -188,10 +198,10 @@ def _fold_constants(func: FunctionDef, result: SCCPResult) -> bool:
             return literal
         return expr
 
-    for stmt in walk_statements(func.body):
-        if stmt.sid not in executable_sids:
-            continue
-        _rewrite_stmt_exprs(stmt, lambda expr: fold(expr, stmt.sid))
+    for block in result.ssa.cfg.blocks:
+        if block.index in result.executable_blocks:
+            for stmt in block.statements:
+                _rewrite_stmt_exprs(stmt, lambda expr: fold(expr, stmt.sid))
     return changed
 
 
@@ -228,7 +238,7 @@ def _prune_dead_branches(block: Block, result: SCCPResult) -> bool:
 _RECEIVER_PRESERVING = {"next", "close"}
 
 
-def _propagate_copies(func: FunctionDef, ssa: SSAForm) -> None:
+def _propagate_copies(ssa: SSAForm) -> None:
     from ..analysis.dataflow import _MUTATING_METHODS
 
     def rewrite(expr: Expr, sid: int) -> Expr:
@@ -252,8 +262,11 @@ def _propagate_copies(func: FunctionDef, ssa: SSAForm) -> None:
             return replace(expr, receiver=receiver, args=args)
         return _rewrite_children(expr, lambda child: rewrite(child, sid))
 
-    for stmt in walk_statements(func.body):
-        _rewrite_stmt_exprs(stmt, lambda expr: rewrite(expr, stmt.sid))
+    # A statement outside the CFG (unreachable) has no SSA environment,
+    # so no use in it resolves to a copy.
+    for block in ssa.cfg.blocks:
+        for stmt in block.statements:
+            _rewrite_stmt_exprs(stmt, lambda expr: rewrite(expr, stmt.sid))
 
 
 def _rewrite_children(expr: Expr, fn) -> Expr:
@@ -276,18 +289,8 @@ def _rewrite_children(expr: Expr, fn) -> Expr:
 
 
 def _rewrite_stmt_exprs(stmt: Stmt, fn) -> None:
-    if isinstance(stmt, Assign):
-        stmt.value = fn(stmt.value)
-    elif isinstance(stmt, ExprStmt):
-        stmt.expr = fn(stmt.expr)
-    elif isinstance(stmt, If):
-        stmt.cond = fn(stmt.cond)
-    elif isinstance(stmt, While):
-        stmt.cond = fn(stmt.cond)
-    elif isinstance(stmt, ForEach):
-        stmt.iterable = fn(stmt.iterable)
-    elif isinstance(stmt, Return) and stmt.value is not None:
-        stmt.value = fn(stmt.value)
+    for expr in statement_expressions(stmt):
+        setattr(stmt, EXPRESSION_FIELD[type(stmt)], fn(expr))
 
 
 # ----------------------------------------------------------------------
@@ -391,28 +394,19 @@ def _cursor_escapes_as_value(body: Block, cursor: str) -> bool:
     """
 
     def escapes(expr: Expr) -> bool:
-        if isinstance(expr, Name):
-            return expr.ident == cursor
-        if isinstance(expr, MethodCall):
-            receiver_is_cursor = (
-                isinstance(expr.receiver, Name)
-                and expr.receiver.ident == cursor
-            )
-            if receiver_is_cursor:
-                if expr.method in ("next", "close"):
-                    return True  # consumes the cursor mid-iteration
-            elif escapes(expr.receiver):
-                return True
-            return any(escapes(arg) for arg in expr.args)
-        for f in dataclass_fields(expr):
-            value = getattr(expr, f.name)
-            if isinstance(value, Expr) and escapes(value):
-                return True
-            if isinstance(value, list) and any(
-                isinstance(item, Expr) and escapes(item) for item in value
+        uses = receivers = 0
+        for node in walk_expressions(expr):
+            if isinstance(node, Name) and node.ident == cursor:
+                uses += 1
+            elif (
+                isinstance(node, MethodCall)
+                and isinstance(node.receiver, Name)
+                and node.receiver.ident == cursor
             ):
-                return True
-        return False
+                if node.method in ("next", "close"):
+                    return True  # consumes the cursor mid-iteration
+                receivers += 1
+        return uses > receivers
 
     return any(
         escapes(expr)

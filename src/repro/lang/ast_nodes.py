@@ -28,6 +28,9 @@ class Node:
 
     line: int = 0
     col: int = 0
+    #: What an analysis memoised about the node (``repro.analysis``), or
+    #: None.  Not a dataclass field: equality and repr ignore it.
+    _memo = None
 
 
 # ----------------------------------------------------------------------
@@ -326,10 +329,13 @@ def clone_statements(node: Node) -> Node:
     Statements, blocks and functions are rebuilt (each with a copied
     ``__dict__``); every list on them is copied too, so the clone's blocks
     can be edited without touching ``node``.  Expression values are shared
-    as they are, which the ownership rule above makes safe.
+    as they are, which the ownership rule above makes safe.  A function's
+    statement index (``repro.analysis.index``) stays behind: the clone
+    builds its own on first read.
     """
     clone = object.__new__(type(node))
     state = dict(node.__dict__)
+    state.pop("_memo", None)
     for key, value in state.items():
         if isinstance(value, (Stmt, FunctionDef)):
             state[key] = clone_statements(value)
@@ -377,10 +383,12 @@ def child_statements(node: Node) -> list[Stmt]:
 
 def walk_statements(node: Node):
     """Yield every statement under ``node`` in depth-first source order."""
-    if isinstance(node, Stmt):
-        yield node
-    for child in child_statements(node):
-        yield from walk_statements(child)
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Stmt):
+            yield node
+        stack.extend(reversed(child_statements(node)))
 
 
 def walk_expressions(expr: Expr):
@@ -409,18 +417,16 @@ def walk_expressions(expr: Expr):
             yield from walk_expressions(arg)
 
 
+#: The field holding each statement kind's own expression (a compound
+#: statement's header).
+EXPRESSION_FIELD = {
+    Assign: "value", ExprStmt: "expr", If: "cond", ForEach: "iterable",
+    While: "cond", Return: "value",
+}
+
+
 def statement_expressions(stmt: Stmt) -> list[Expr]:
     """Return the expressions directly embedded in a statement."""
-    if isinstance(stmt, Assign):
-        return [stmt.value]
-    if isinstance(stmt, ExprStmt):
-        return [stmt.expr]
-    if isinstance(stmt, If):
-        return [stmt.cond]
-    if isinstance(stmt, ForEach):
-        return [stmt.iterable]
-    if isinstance(stmt, While):
-        return [stmt.cond]
-    if isinstance(stmt, Return) and stmt.value is not None:
-        return [stmt.value]
-    return []
+    field_name = EXPRESSION_FIELD.get(type(stmt))
+    value = None if field_name is None else getattr(stmt, field_name)
+    return [] if value is None else [value]

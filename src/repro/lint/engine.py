@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..analysis import function_effects
+from ..analysis import function_effects, function_index
 from ..ir import preprocess_program
-from ..lang import ForEach, FunctionDef, Program, parse_program, walk_statements
+from ..lang import FunctionDef, Program, parse_program
 from .diagnostics import Diagnostic, Severity
 from .registry import LintContext, run_passes
 
@@ -120,15 +120,8 @@ def loop_nesting(func: FunctionDef) -> dict[int, frozenset[int]]:
     itself included.  A blocker found in an inner loop also forbids
     extracting from any enclosing loop: the builder translates inner loops
     first, and their failure poisons the enclosing expression."""
-    result: dict[int, frozenset[int]] = {}
-    for stmt in walk_statements(func.body):
-        if isinstance(stmt, ForEach):
-            result[stmt.sid] = frozenset(
-                inner.sid
-                for inner in walk_statements(stmt)
-                if isinstance(inner, ForEach)
-            )
-    return result
+    index = function_index(func)
+    return {loop.sid: index.info(loop).nested for loop in index.cursor_loops}
 
 
 def blockers_for(

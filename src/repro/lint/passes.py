@@ -23,7 +23,6 @@ from ..interp.values import setter_to_column
 from ..lang import (
     Assign,
     Binary,
-    Block,
     BoolLit,
     Break,
     Call,
@@ -39,39 +38,18 @@ from ..lang import (
     Stmt,
     StringLit,
     TryCatch,
-    While,
-    child_statements,
-    statement_expressions,
-    walk_expressions,
-    walk_statements,
 )
 from .diagnostics import Diagnostic, Severity
 from .registry import LintContext, lint_pass
 
 
-def _own_statements(loop: ForEach) -> Iterator[Stmt]:
-    """Statements under ``loop`` whose *nearest* enclosing cursor loop is
-    ``loop`` — the walk descends through ifs/whiles/try but stops at nested
-    ``ForEach`` loops (they report their own findings)."""
-
-    def visit(stmt: Stmt) -> Iterator[Stmt]:
-        yield stmt
-        if isinstance(stmt, ForEach):
-            return
-        for child in child_statements(stmt):
-            yield from visit(child)
-
-    for stmt in loop.body.statements:
-        yield from visit(stmt)
-
-
-def _own_calls(loop: ForEach) -> Iterator[tuple[Stmt, Expr]]:
-    """(statement, call-expression) pairs directly owned by ``loop``."""
-    for stmt in _own_statements(loop):
-        for expr in statement_expressions(stmt):
-            for node in walk_expressions(expr):
-                if isinstance(node, (Call, MethodCall)):
-                    yield stmt, node
+def _own_calls(ctx: LintContext, loop: ForEach) -> Iterator[tuple[Stmt, Expr]]:
+    """(statement, call-expression) pairs directly owned by ``loop``: in
+    statements whose *nearest* enclosing cursor loop is ``loop`` (nested
+    ``ForEach`` loops report their own findings)."""
+    for info in ctx.index.owned(loop):
+        for node in info.facts.calls:
+            yield info.stmt, node
 
 
 # ----------------------------------------------------------------------
@@ -89,8 +67,8 @@ def check_loop_side_effects(ctx: LintContext) -> Iterable[Diagnostic]:
     (undefined, or recursive) would be silently treated as a no-op in
     statement position — the classic soundness gap this pass closes.
     """
-    for loop in ctx.cursor_loops():
-        for _stmt, node in _own_calls(loop):
+    for loop in ctx.index.cursor_loops:
+        for _stmt, node in _own_calls(ctx, loop):
             if not isinstance(node, Call):
                 continue
             if node.func in DB_WRITE_CALLS:
@@ -161,10 +139,10 @@ def check_alias_escape(ctx: LintContext) -> Iterable[Diagnostic]:
     iterated result set (rebound between loop and call) is skipped
     entirely.
     """
-    loops = ctx.cursor_loops()
+    loops = ctx.index.cursor_loops
 
     for loop in loops:
-        for stmt, node in _own_calls(loop):
+        for stmt, node in _own_calls(ctx, loop):
             if (
                 isinstance(node, MethodCall)
                 and isinstance(stmt, ExprStmt)
@@ -204,67 +182,62 @@ def check_alias_escape(ctx: LintContext) -> Iterable[Diagnostic]:
     if not iterables:
         return
 
-    inside: dict[int, int] = {}  # id(call node) -> owning loop sid
-    for loop in loops:
-        for _stmt, node in _own_calls(loop):
-            inside.setdefault(id(node), loop.sid)
-
-    for stmt in walk_statements(ctx.func.body):
-        for expr in statement_expressions(stmt):
-            for node in walk_expressions(expr):
-                if not isinstance(node, Call) or node.func in BUILTIN_CALLS:
+    for info in ctx.index.entries:
+        stmt = info.stmt
+        for node in info.facts.calls:
+            if not isinstance(node, Call) or node.func in BUILTIN_CALLS:
+                continue
+            effect = ctx.effects.get(node.func)
+            for pos, arg in enumerate(node.args):
+                if not (isinstance(arg, Name) and arg.ident in iterables):
                     continue
-                effect = ctx.effects.get(node.func)
-                for pos, arg in enumerate(node.args):
-                    if not (isinstance(arg, Name) and arg.ident in iterables):
+                loop = iterables[arg.ident]
+                pt = ctx.pointsto
+                if pt is not None:
+                    loop_objs = pt.objects_at(loop.sid, arg.ident)
+                    here_objs = pt.objects_at(stmt.sid, arg.ident)
+                    if (
+                        loop_objs
+                        and here_objs
+                        and not pt.may_alias(stmt.sid, arg.ident, loop_objs)
+                    ):
+                        continue  # rebound: not the iterated result set
+                if effect is None or effect.opaque:
+                    # Inside its own loop the call is already an EQ102
+                    # blocker; elsewhere the escape itself is the finding.
+                    if info.cursor_loop is loop:
                         continue
-                    loop = iterables[arg.ident]
-                    pt = ctx.pointsto
-                    if pt is not None:
-                        loop_objs = pt.objects_at(loop.sid, arg.ident)
-                        here_objs = pt.objects_at(stmt.sid, arg.ident)
-                        if (
-                            loop_objs
-                            and here_objs
-                            and not pt.may_alias(stmt.sid, arg.ident, loop_objs)
-                        ):
-                            continue  # rebound: not the iterated result set
-                    if effect is None or effect.opaque:
-                        # Inside its own loop the call is already an EQ102
-                        # blocker; elsewhere the escape itself is the issue.
-                        if inside.get(id(node)) == loop.sid:
-                            continue
-                        if (
-                            ctx.precision
-                            and effect is not None
-                            and pos not in effect.escapes_params
-                            and pos not in effect.mutates_params
-                        ):
-                            yield ctx.diag(
-                                "EQ103",
-                                node,
-                                f"result set {arg.ident!r} is passed to "
-                                f"{node.func!r}, which provably neither "
-                                "retains nor mutates it",
-                                loop_sid=loop.sid,
-                                severity=Severity.INFO,
-                            )
-                        else:
-                            yield ctx.diag(
-                                "EQ103",
-                                node,
-                                f"result set {arg.ident!r} escapes to "
-                                f"{node.func!r}, which cannot be analysed",
-                                loop_sid=loop.sid,
-                            )
-                    elif pos in effect.mutates_params:
+                    if (
+                        ctx.precision
+                        and effect is not None
+                        and pos not in effect.escapes_params
+                        and pos not in effect.mutates_params
+                    ):
                         yield ctx.diag(
                             "EQ103",
                             node,
-                            f"result set {arg.ident!r} may be mutated by "
-                            f"{node.func!r}",
+                            f"result set {arg.ident!r} is passed to "
+                            f"{node.func!r}, which provably neither "
+                            "retains nor mutates it",
+                            loop_sid=loop.sid,
+                            severity=Severity.INFO,
+                        )
+                    else:
+                        yield ctx.diag(
+                            "EQ103",
+                            node,
+                            f"result set {arg.ident!r} escapes to "
+                            f"{node.func!r}, which cannot be analysed",
                             loop_sid=loop.sid,
                         )
+                elif pos in effect.mutates_params:
+                    yield ctx.diag(
+                        "EQ103",
+                        node,
+                        f"result set {arg.ident!r} may be mutated by "
+                        f"{node.func!r}",
+                        loop_sid=loop.sid,
+                    )
 
 
 # ----------------------------------------------------------------------
@@ -282,12 +255,12 @@ def check_cursor_consumption(ctx: LintContext) -> Iterable[Diagnostic]:
     is sound and not flagged.
     """
     defs: dict[str, Expr] = {}
-    for stmt in walk_statements(ctx.func.body):
-        if isinstance(stmt, Assign) and stmt.target not in defs:
-            defs[stmt.target] = stmt.value
+    for info in ctx.index.entries:
+        if isinstance(info.stmt, Assign):
+            defs.setdefault(info.stmt.target, info.stmt.value)
 
     by_var: dict[str, list[ForEach]] = {}
-    for loop in ctx.cursor_loops():
+    for loop in ctx.index.cursor_loops:
         if isinstance(loop.iterable, Name):
             by_var.setdefault(loop.iterable.ident, []).append(loop)
 
@@ -325,8 +298,9 @@ def check_loop_exit_safety(ctx: LintContext) -> Iterable[Diagnostic]:
     make the iteration count observable and the fold translation unsound.
     """
     names = {Break: "break", Continue: "continue", Return: "return"}
-    for loop in ctx.cursor_loops():
-        for stmt in _own_statements(loop):
+    for loop in ctx.index.cursor_loops:
+        for info in ctx.index.owned(loop):
+            stmt = info.stmt
             if isinstance(stmt, (Break, Continue, Return)):
                 yield ctx.diag(
                     "EQ105",
@@ -350,29 +324,17 @@ def check_query_in_loop(ctx: LintContext) -> Iterable[Diagnostic]:
     iterable once — but a read in the header of a loop that is itself
     nested inside another loop does fire.
     """
-    diags: list[Diagnostic] = []
-
-    def visit(block: Block, in_loop: bool) -> None:
-        for stmt in block.statements:
-            if in_loop:
-                for expr in statement_expressions(stmt):
-                    for node in walk_expressions(expr):
-                        if isinstance(node, Call) and node.func in DB_READ_CALLS:
-                            diags.append(
-                                ctx.diag(
-                                    "EQ301",
-                                    node,
-                                    f"{node.func}(...) runs once per "
-                                    "iteration of the enclosing loop",
-                                )
-                            )
-            inner = in_loop or isinstance(stmt, (ForEach, While))
-            for child in child_statements(stmt):
-                if isinstance(child, Block):
-                    visit(child, inner)
-
-    visit(ctx.raw_func.body, in_loop=False)
-    return diags
+    for info in ctx.raw_index.entries:
+        if not info.loops:
+            continue
+        for node in info.facts.calls:
+            if isinstance(node, Call) and node.func in DB_READ_CALLS:
+                yield ctx.diag(
+                    "EQ301",
+                    node,
+                    f"{node.func}(...) runs once per iteration of the "
+                    "enclosing loop",
+                )
 
 
 # ----------------------------------------------------------------------
@@ -401,10 +363,9 @@ def check_sql_concatenation(ctx: LintContext) -> Iterable[Diagnostic]:
     """
     tainted: set[str] = set()
     stringish: set[str] = set()
+    index = ctx.raw_index
     assigns = [
-        stmt
-        for stmt in walk_statements(ctx.raw_func.body)
-        if isinstance(stmt, Assign)
+        info.stmt for info in index.entries if isinstance(info.stmt, Assign)
     ]
     for stmt in assigns:
         if isinstance(stmt.value, StringLit):
@@ -436,31 +397,30 @@ def check_sql_concatenation(ctx: LintContext) -> Iterable[Diagnostic]:
                 tainted.add(stmt.target)
                 changed = True
 
-    for stmt in walk_statements(ctx.raw_func.body):
-        for expr in statement_expressions(stmt):
-            for node in walk_expressions(expr):
-                if (
-                    not isinstance(node, Call)
-                    or node.func not in (DB_READ_CALLS | DB_WRITE_CALLS)
-                    or not node.args
-                ):
-                    continue
-                sql = node.args[0]
-                if isinstance(sql, Binary) and sql.op == "+":
-                    if chain_taints(_concat_parts(sql)):
-                        yield ctx.diag(
-                            "EQ302",
-                            sql,
-                            f"the {node.func} argument splices program "
-                            "values into the SQL text",
-                        )
-                elif isinstance(sql, Name) and sql.ident in tainted:
+    for info in index.entries:
+        for node in info.facts.calls:
+            if (
+                not isinstance(node, Call)
+                or node.func not in (DB_READ_CALLS | DB_WRITE_CALLS)
+                or not node.args
+            ):
+                continue
+            sql = node.args[0]
+            if isinstance(sql, Binary) and sql.op == "+":
+                if chain_taints(_concat_parts(sql)):
                     yield ctx.diag(
                         "EQ302",
-                        node,
-                        f"{sql.ident!r} was assembled by concatenation "
-                        "before reaching " + node.func,
+                        sql,
+                        f"the {node.func} argument splices program "
+                        "values into the SQL text",
                     )
+            elif isinstance(sql, Name) and sql.ident in tainted:
+                yield ctx.diag(
+                    "EQ302",
+                    node,
+                    f"{sql.ident!r} was assembled by concatenation "
+                    "before reaching " + node.func,
+                )
 
 
 # ----------------------------------------------------------------------
@@ -470,15 +430,13 @@ def check_sql_concatenation(ctx: LintContext) -> Iterable[Diagnostic]:
 @lint_pass("dead-result", codes=("EQ303",))
 def check_dead_results(ctx: LintContext) -> Iterable[Diagnostic]:
     """Query results that are never read (raw AST, flow-insensitive)."""
-    func = ctx.raw_func
-    uses: dict[str, int] = {}
-    for stmt in walk_statements(func.body):
-        for expr in statement_expressions(stmt):
-            for node in walk_expressions(expr):
-                if isinstance(node, Name):
-                    uses[node.ident] = uses.get(node.ident, 0) + 1
+    entries = ctx.raw_index.entries
+    used: set[str] = set()
+    for info in entries:
+        used |= info.facts.names
 
-    for stmt in walk_statements(func.body):
+    for info in entries:
+        stmt = info.stmt
         if (
             isinstance(stmt, ExprStmt)
             and isinstance(stmt.expr, Call)
@@ -493,7 +451,7 @@ def check_dead_results(ctx: LintContext) -> Iterable[Diagnostic]:
             isinstance(stmt, Assign)
             and isinstance(stmt.value, Call)
             and stmt.value.func in DB_READ_CALLS
-            and uses.get(stmt.target, 0) == 0
+            and stmt.target not in used
         ):
             yield ctx.diag(
                 "EQ303",
@@ -511,19 +469,19 @@ def check_dead_results(ctx: LintContext) -> Iterable[Diagnostic]:
 @lint_pass("unclosed-cursor", codes=("EQ304",))
 def check_unclosed_cursors(ctx: LintContext) -> Iterable[Diagnostic]:
     """``executeQueryCursor`` results with no ``close()`` call (raw AST)."""
-    func = ctx.raw_func
+    entries = ctx.raw_index.entries
     closed: set[str] = set()
-    for stmt in walk_statements(func.body):
-        for expr in statement_expressions(stmt):
-            for node in walk_expressions(expr):
-                if (
-                    isinstance(node, MethodCall)
-                    and node.method == "close"
-                    and isinstance(node.receiver, Name)
-                ):
-                    closed.add(node.receiver.ident)
+    for info in entries:
+        for node in info.facts.calls:
+            if (
+                isinstance(node, MethodCall)
+                and node.method == "close"
+                and isinstance(node.receiver, Name)
+            ):
+                closed.add(node.receiver.ident)
 
-    for stmt in walk_statements(func.body):
+    for info in entries:
+        stmt = info.stmt
         if (
             isinstance(stmt, Assign)
             and isinstance(stmt.value, Call)

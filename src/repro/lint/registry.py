@@ -25,10 +25,12 @@ from typing import Callable, Iterable
 
 from ..analysis import (
     EffectSummary,
+    FunctionIndex,
     PointsToResult,
     analyze_pointsto,
+    function_index,
 )
-from ..lang import ForEach, FunctionDef, Node, Program, walk_statements
+from ..lang import FunctionDef, Node, Program
 from .codes import code_info
 from .diagnostics import Diagnostic, Severity, SourceSpan
 
@@ -67,13 +69,13 @@ class LintContext:
     def raw_func(self) -> FunctionDef:
         return self.raw_program.function(self.function)
 
-    def cursor_loops(self) -> list[ForEach]:
-        """Every ``ForEach`` in the preprocessed function, outermost first."""
-        return [
-            stmt
-            for stmt in walk_statements(self.func.body)
-            if isinstance(stmt, ForEach)
-        ]
+    @property
+    def index(self) -> FunctionIndex:  # of the preprocessed function
+        return function_index(self.func)
+
+    @property
+    def raw_index(self) -> FunctionIndex:  # of the function as parsed
+        return function_index(self.raw_func)
 
     def diag(
         self,

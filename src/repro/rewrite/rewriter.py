@@ -18,8 +18,8 @@ from ..analysis import (
     DB_LOCATION,
     OUT_LOCATION,
     RET_LOCATION,
-    expr_reads,
-    expr_writes,
+    expr_facts,
+    function_index,
     live_after_loops,
     stmt_def_use,
 )
@@ -28,7 +28,6 @@ from ..ir import ENode
 from ..lang import (
     Assign,
     Block,
-    Call,
     ExprStmt,
     ForEach,
     FunctionDef,
@@ -41,8 +40,6 @@ from ..lang import (
     child_blocks,
     clone_statements,
     number_statements,
-    walk_expressions,
-    walk_statements,
 )
 from .emit import Emitter
 
@@ -63,11 +60,7 @@ class LoopMaps:
 
     @classmethod
     def of(cls, func: FunctionDef) -> LoopMaps:
-        loops = {
-            stmt.sid: stmt
-            for stmt in walk_statements(func.body)
-            if isinstance(stmt, ForEach)
-        }
+        loops = {stmt.sid: stmt for stmt in function_index(func).cursor_loops}
         return cls(loops, live_after_loops(func))
 
 
@@ -159,7 +152,11 @@ def eliminate_dead_code(program: Program, function: str) -> Program:
     """Remove assignments and loops whose results are never observed.
 
     Observable sinks: the return value, the output stream (``__out__``),
-    and database writes.  Conservative for unknown calls and try/catch.
+    and database writes.  Conservative for unknown calls and try/catch: a
+    statement stays when evaluating it could be observable
+    (:attr:`~repro.analysis.dataflow.ExprFacts.side_effects`: it writes an
+    external location, or calls anything but a database read).  Mutating a
+    local collection counts only while the collection is live.
     Returns a copy; ``program`` is left as it was.
     """
     result = clone_statements(program)
@@ -167,36 +164,41 @@ def eliminate_dead_code(program: Program, function: str) -> Program:
     changed = True
     while changed:
         live = {RET_LOCATION, OUT_VAR, OUT_LOCATION, DB_LOCATION}
-        changed = _eliminate_block(func.body, live)
+        changed, _ = _eliminate_block(func.body, live)
     number_statements(result)
     return result
 
 
-def _eliminate_block(block: Block, live: set[str]) -> bool:
-    """Backward pass; mutates the block, updates ``live`` in place.
+def _eliminate_block(
+    block: Block, live: set[str], apply: bool = True
+) -> tuple[bool, bool]:
+    """Backward pass; updates ``live`` in place and, when ``apply``,
+    deletes the dead statements from the block.
 
-    Returns True when anything was removed.
+    Returns (anything removed, anything kept).
     """
-    changed = False
+    changed = kept = False
     for index in range(len(block.statements) - 1, -1, -1):
         stmt = block.statements[index]
-        keep, removed_inside = _process_stmt(stmt, live)
+        keep, removed_inside = _process_stmt(stmt, live, apply)
         changed |= removed_inside
-        if not keep:
-            del block.statements[index]
+        if keep:
+            kept = True
+        else:
+            if apply:
+                del block.statements[index]
             changed = True
-    return changed
+    return changed, kept
 
 
-def _process_stmt(stmt: Stmt, live: set[str]) -> tuple[bool, bool]:
+def _process_stmt(stmt: Stmt, live: set[str], apply: bool) -> tuple[bool, bool]:
     """Returns (keep this statement, anything removed inside it)."""
     if isinstance(stmt, Return):
         live |= stmt_def_use(stmt).reads
         return True, False
 
     if isinstance(stmt, Assign):
-        has_side_effects = _expr_has_side_effects(stmt.value)
-        if stmt.target not in live and not has_side_effects:
+        if stmt.target not in live and not expr_facts(stmt.value).side_effects:
             return False, False
         live.discard(stmt.target)
         live.update(stmt_def_use(stmt).reads)
@@ -207,43 +209,43 @@ def _process_stmt(stmt: Stmt, live: set[str]) -> tuple[bool, bool]:
         writes_live = any(
             w in live or w in (DB_LOCATION, OUT_LOCATION) for w in summary.writes
         )
-        impure = _expr_has_side_effects(stmt.expr, ignore_reads=True)
-        if not writes_live and not impure:
+        if not writes_live and not expr_facts(stmt.expr).side_effects:
             return False, False
         live.update(summary.reads)
         return True, False
 
     if isinstance(stmt, If):
         then_live = set(live)
-        removed = _eliminate_block(stmt.then_body, then_live)
+        removed, kept = _eliminate_block(stmt.then_body, then_live, apply)
         else_live = set(live)
         if stmt.else_body is not None:
-            removed |= _eliminate_block(stmt.else_body, else_live)
-        if not stmt.then_body.statements and (
-            stmt.else_body is None or not stmt.else_body.statements
-        ):
+            else_removed, else_kept = _eliminate_block(
+                stmt.else_body, else_live, apply
+            )
+            removed |= else_removed
+            kept |= else_kept
+        if not kept:
             return False, removed
         live.clear()
-        live.update(then_live | else_live | expr_reads(stmt.cond))
+        live.update(then_live | else_live | expr_facts(stmt.cond).reads)
         return True, removed
 
     if isinstance(stmt, (ForEach, While)):
         # Fixpoint over iterations: a variable read by a *surviving* body
         # statement may carry the previous iteration's value, so it must
-        # stay live for the body itself.  Trial passes run on a statement
-        # clone until the keep-set stabilises, then one destructive pass
-        # applies it.
+        # stay live for the body itself.  Trial passes that delete nothing
+        # run until the keep-set stabilises, then one pass applies it.
+        header = stmt.iterable if isinstance(stmt, ForEach) else stmt.cond
         body_live_out = set(live)
         for _ in range(len(stmt.body.statements) + 2):
-            trial = clone_statements(stmt.body)
             trial_live = set(body_live_out)
-            _eliminate_block(trial, trial_live)
+            _eliminate_block(stmt.body, trial_live, apply=False)
             trial_live = {v for v in trial_live if not v.startswith("@")}
             if trial_live <= body_live_out:
                 break
             body_live_out |= trial_live
-        removed = _eliminate_block(stmt.body, body_live_out)
-        if not stmt.body.statements and _iterable_is_pure(stmt):
+        removed, kept = _eliminate_block(stmt.body, body_live_out, apply)
+        if not kept and not expr_facts(header).side_effects:
             return False, removed
         # The loop may run zero times, so a body assignment never *kills*
         # liveness for the code above the loop: everything live after the
@@ -251,14 +253,12 @@ def _process_stmt(stmt: Stmt, live: set[str]) -> tuple[bool, bool]:
         live.update(body_live_out)
         if isinstance(stmt, ForEach):
             live.discard(stmt.var)
-            live.update(expr_reads(stmt.iterable))
-        else:
-            live.update(expr_reads(stmt.cond))
+        live.update(expr_facts(header).reads)
         return True, removed
 
     if isinstance(stmt, Block):
-        removed = _eliminate_block(stmt, live)
-        return bool(stmt.statements), removed
+        removed, kept = _eliminate_block(stmt, live, apply)
+        return kept, removed
 
     if isinstance(stmt, TryCatch):
         # Conservative: keep, but make all reads live.
@@ -268,33 +268,3 @@ def _process_stmt(stmt: Stmt, live: set[str]) -> tuple[bool, bool]:
         return True, False
 
     return True, False
-
-
-def _iterable_is_pure(stmt: ForEach | While) -> bool:
-    if isinstance(stmt, While):
-        return not _expr_has_side_effects(stmt.cond, ignore_reads=True)
-    return not _expr_has_side_effects(stmt.iterable, ignore_reads=True)
-
-
-_PURE_CALLS = {"executeQuery", "executeQueryCursor", "executeScalar", "executeExists"}
-
-
-def _expr_has_side_effects(expr, ignore_reads: bool = False) -> bool:
-    """True when evaluating the expression could be observable.
-
-    Database reads are pure; database writes, output calls, and calls to
-    user-defined functions (which may do either) are side effects.
-    Mutation of a *local* collection is not intrinsically observable — it
-    matters only if the collection is live, which the caller checks.
-    """
-    if any(w.startswith("@") for w in expr_writes(expr)):
-        return True
-    for node in walk_expressions(expr):
-        if isinstance(node, Call) and node.func not in _PURE_CALLS and node.func not in (
-            "print",
-            "println",
-        ):
-            return True  # unknown user function: conservative
-        if isinstance(node, Call) and node.func in ("print", "println"):
-            return True
-    return False

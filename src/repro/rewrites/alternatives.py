@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..algebra import BinOp, Catalog, Col, Param, Project, RelExpr, Select, Table
+from ..analysis.index import FunctionIndex, StmtInfo, function_index
 from ..ir import EExists, EQuery, EScalarQuery, walk_enodes
 from ..lang import (
     Assign,
@@ -47,12 +48,8 @@ from ..lang import (
     Stmt,
     StringLit,
     Unary,
-    child_blocks,
     clone_statements,
     number_statements,
-    statement_expressions,
-    walk_expressions,
-    walk_statements,
 )
 from ..rewrite import (
     EmitError,
@@ -149,7 +146,7 @@ def generate_alternatives(report, catalog: Catalog, dialect: str = "repro") -> l
     :mod:`repro.core`.
     """
     program = report.original
-    func = program.function(report.function)
+    index = function_index(program.function(report.function))
     loops = loop_extractions(report.loop_maps, report.variables.values())
 
     sites: list[Site] = []
@@ -157,8 +154,9 @@ def generate_alternatives(report, catalog: Catalog, dialect: str = "repro") -> l
         loop_stmt = loop.loop
 
         outer_name = _outer_iterable_name(loop_stmt)
-        outer_rel = _outer_rel(func, loop_stmt, outer_name)
-        lookups, residual = _find_inner_lookups(loop_stmt, catalog)
+        outer_rel = _outer_rel(index, loop_stmt, outer_name)
+        body = index.subtree(loop_stmt.body)
+        lookups, residual = _find_inner_lookups(loop_stmt, body, catalog)
 
         site = Site(
             function=report.function,
@@ -196,7 +194,7 @@ def generate_alternatives(report, catalog: Catalog, dialect: str = "repro") -> l
             if alt is not None:
                 site.alternatives.append(alt)
 
-        if lookups and _body_is_batchable(loop_stmt) and outer_name is not None:
+        if lookups and _body_is_batchable(body) and outer_name is not None:
             batched = _lookup_alternative(
                 program, report.function, loop_sid, lookups, outer_name,
                 prefetch=False,
@@ -250,14 +248,17 @@ def _outer_iterable_name(loop_stmt: ForEach) -> str | None:
     return None
 
 
-def _outer_rel(func, loop_stmt: ForEach, outer_name: str | None) -> RelExpr | None:
+def _outer_rel(
+    index: FunctionIndex, loop_stmt: ForEach, outer_name: str | None
+) -> RelExpr | None:
     """The query the loop iterates, when it is a plain ``executeQuery``."""
     candidates: list[Call] = []
     if isinstance(loop_stmt.iterable, Call):
         candidates.append(loop_stmt.iterable)
     elif outer_name is not None:
         last = None
-        for stmt in walk_statements(func.body):
+        for info in index.entries:
+            stmt = info.stmt
             if stmt.sid >= loop_stmt.sid:
                 break
             if isinstance(stmt, Assign) and stmt.target == outer_name:
@@ -278,7 +279,7 @@ def _outer_rel(func, loop_stmt: ForEach, outer_name: str | None) -> RelExpr | No
 
 
 def _find_inner_lookups(
-    loop_stmt: ForEach, catalog: Catalog
+    loop_stmt: ForEach, body_index: list[StmtInfo], catalog: Catalog
 ) -> tuple[list[InnerLookup], int]:
     """Match direct-child ``param = cursor.getX(); v = executeScalar(...)``
     pairs whose query is a point lookup on a declared unique key.
@@ -290,7 +291,8 @@ def _find_inner_lookups(
     body = loop_stmt.body.statements
     param_getters: dict[str, str] = {}
     param_assign_counts: dict[str, int] = {}
-    for stmt in walk_statements(loop_stmt.body):
+    for info in body_index:
+        stmt = info.stmt
         if isinstance(stmt, Assign):
             param_assign_counts[stmt.target] = param_assign_counts.get(stmt.target, 0) + 1
 
@@ -312,13 +314,12 @@ def _find_inner_lookups(
             matched_sids.add(stmt.sid)
 
     residual = 0
-    for stmt in walk_statements(loop_stmt.body):
-        if stmt.sid in matched_sids:
+    for info in body_index:
+        if info.stmt.sid in matched_sids:
             continue
-        for expr in statement_expressions(stmt):
-            for node in walk_expressions(expr):
-                if isinstance(node, Call) and node.func in _DB_CALLS:
-                    residual += 1
+        for node in info.facts.calls:
+            if isinstance(node, Call) and node.func in _DB_CALLS:
+                residual += 1
     return lookups, residual
 
 
@@ -381,24 +382,28 @@ def _match_point_lookup(rel: RelExpr) -> tuple[str, str, str, str] | None:
     return select.child.name, col.name, item.expr.name, param.name
 
 
-def _body_is_batchable(loop_stmt: ForEach) -> bool:
-    for stmt in walk_statements(loop_stmt.body):
-        for expr in statement_expressions(stmt):
-            for node in walk_expressions(expr):
-                if isinstance(node, Call) and node.func not in _BATCHABLE_CALLS:
-                    return False
-    return True
+def _body_is_batchable(body_index: list[StmtInfo]) -> bool:
+    return not any(
+        isinstance(node, Call) and node.func not in _BATCHABLE_CALLS
+        for info in body_index
+        for node in info.facts.calls
+    )
 
 
 def _lookup_alternative(
     program, function, loop_sid, lookups, outer_name, *, prefetch: bool
 ) -> Alternative | None:
     result = clone_statements(program)
-    func = result.function(function)
-    found = _find_loop(func.body, loop_sid)
-    if found is None:
+    # A fresh index: this clone is edited below.
+    index = FunctionIndex(result.function(function))
+    loop_stmt = next((s for s in index.cursor_loops if s.sid == loop_sid), None)
+    if loop_stmt is None:
         return None
-    loop_stmt, container, index = found
+    assigns = {
+        info.stmt.sid: info
+        for info in index.subtree(loop_stmt.body)
+        if isinstance(info.stmt, Assign)
+    }
 
     pre: list[Stmt] = []
     rels: list[RelExpr] = []
@@ -470,17 +475,17 @@ def _lookup_alternative(
                 body=Block(statements=[first_match_only]),
             )
         )
-        if not _replace_assign(
-            loop_stmt.body,
-            lookup.assign_sid,
-            Assign(
-                target=lookup.target,
-                value=MethodCall(Name(idx_var), "get", [Name(lookup.param)]),
-            ),
-        ):
+        assign = assigns.get(lookup.assign_sid)
+        if assign is None:
             return None
+        assign.block.statements[_position(assign)] = Assign(
+            target=lookup.target,
+            value=MethodCall(Name(idx_var), "get", [Name(lookup.param)]),
+        )
 
-    container.statements[index:index] = pre
+    loop = index.info(loop_stmt)
+    at = _position(loop)
+    loop.block.statements[at:at] = pre
     number_statements(result)
     if prefetch:
         description = (
@@ -500,26 +505,9 @@ def _lookup_alternative(
     )
 
 
-def _find_loop(block: Block, loop_sid: int) -> tuple[ForEach, Block, int] | None:
-    for index, stmt in enumerate(block.statements):
-        if isinstance(stmt, ForEach) and stmt.sid == loop_sid:
-            return stmt, block, index
-        for child in child_blocks(stmt):
-            found = _find_loop(child, loop_sid)
-            if found is not None:
-                return found
-    return None
-
-
-def _replace_assign(block: Block, assign_sid: int, replacement: Stmt) -> bool:
-    for index, stmt in enumerate(block.statements):
-        if isinstance(stmt, Assign) and stmt.sid == assign_sid:
-            block.statements[index] = replacement
-            return True
-        for child in child_blocks(stmt):
-            if _replace_assign(child, assign_sid, replacement):
-                return True
-    return False
+def _position(info: StmtInfo) -> int:
+    """Where the statement sits in its block's list (by identity)."""
+    return next(i for i, s in enumerate(info.block.statements) if s is info.stmt)
 
 
 def _getter(column: str) -> str:

@@ -5,8 +5,7 @@ from repro.analysis import (
     OUT_LOCATION,
     all_writes,
     build_loop_ddg,
-    expr_reads,
-    expr_writes,
+    expr_facts,
     live_after_loops,
     live_before,
     loop_carried_vars,
@@ -50,7 +49,7 @@ class TestDefUse:
 
     def test_print_writes_output(self):
         stmt = parse_statements("print(x);").statements[0]
-        assert OUT_LOCATION in expr_writes(stmt.expr)
+        assert OUT_LOCATION in expr_facts(stmt.expr).writes
 
     def test_setter_writes_receiver(self):
         stmt = parse_statements("t.setScore(5);").statements[0]

@@ -27,7 +27,7 @@ from repro.core import optimize_program
 from repro.difftest.generator import generate_case
 from repro.frontends import get_frontend
 from repro.ir import preprocess_program
-from repro.lang import parse_program, walk_statements
+from repro.lang import ast_nodes, parse_program, walk_statements
 
 ROOT = Path(__file__).resolve().parents[2]
 GOLDEN = Path(__file__).resolve().parent / "golden" / "loop_liveness.json"
@@ -102,6 +102,35 @@ class TestDeepNesting:
         catalog.define("t", ["id", "x"], key=("id",))
         report = optimize_program(_nested(30), "f", catalog)
         assert report.status in ("success", "capable", "failed")
+
+    def test_extraction_visits_statements_linearly_in_depth(self, monkeypatch):
+        """``optimize_program`` visits each statement and clones each
+        program a bounded number of times, whatever the nesting: doubling
+        the depth at most doubles both counts."""
+        catalog = Catalog()
+        catalog.define("t", ["id", "x"], key=("id",))
+        counts = {}
+        for name in ("child_statements", "clone_statements"):
+            original = getattr(ast_nodes, name)
+
+            def counted(*args, _name=name, _original=original):
+                counts[_name] += 1
+                return _original(*args)
+
+            for module in list(sys.modules.values()):
+                if (
+                    module is not None
+                    and module.__name__.startswith("repro")
+                    and getattr(module, name, None) is original
+                ):
+                    monkeypatch.setattr(module, name, counted)
+        per_depth = {}
+        for depth in (30, 60):
+            counts.update(child_statements=0, clone_statements=0)
+            optimize_program(_nested(depth), "f", catalog)
+            per_depth[depth] = dict(counts)
+        for name in counts:
+            assert 0 < per_depth[60][name] <= 2 * per_depth[30][name], (name, per_depth)
 
     def test_one_pass_is_linear_in_statements(self, monkeypatch):
         func = preprocess_program(parse_program(_nested(30))).function("f")

@@ -300,3 +300,74 @@ def test_both_engine_mode_runs_clean(seed=5):
             from repro.db import EngineDivergenceError
 
             assert not isinstance(exc, EngineDivergenceError), exc
+
+
+def _small_db() -> Database:
+    from repro.algebra import Catalog
+
+    catalog = Catalog()
+    catalog.define("applicants", ["id", "score"], key=("id",))
+    catalog.define("t", ["id", "a"], key=("id",))
+    catalog.define("u", ["id", "k"], key=("id",))
+    db = Database(catalog)
+    db.insert_many("applicants", [{"id": i, "score": 10 * i} for i in range(5)])
+    db.insert("t", {"id": 1, "a": 1})
+    db.insert("u", {"id": 2, "k": 5})
+    return db
+
+
+_ENGINES = [
+    (engine, mode)
+    for engine in ("planned", "reference", "both")
+    for mode in ("auto", "off", "force")
+]
+
+
+@pytest.mark.parametrize("func", ["max", "min", "sum", "avg"])
+@pytest.mark.parametrize("group_by", [(), (Col("id"),)])
+@pytest.mark.parametrize("engine,mode", _ENGINES)
+def test_an_aggregate_without_argument_fails_the_same_everywhere(
+    func, group_by, engine, mode
+):
+    """Only COUNT(*) may omit its argument: any other call raises one
+    EngineError on every engine and columnar mode, over rows or none."""
+    db = _small_db()
+    db.columnar_mode = mode
+    call = AggItem(AggCall(func, None), "agg")
+    for table in ("applicants", "u"):
+        if table == "u":
+            db.clear("u")
+        query = Aggregate(Table(table), group_by, (call,))
+        message = rf"^{func.upper()}\(\*\) has no argument"
+        with pytest.raises(EngineError, match=message):
+            db.execute(query, engine=engine)
+    count = AggItem(AggCall("count", None), "n")
+    assert db.execute(Aggregate(Table("applicants"), (), (count,)), engine=engine) == [
+        {"n": 5}
+    ]
+
+
+@pytest.mark.parametrize("engine", ["planned", "reference"])
+def test_limit_zero_still_raises_its_childs_error(engine):
+    from repro.db import UnknownTableError
+
+    db = _small_db()
+    with pytest.raises(UnknownTableError, match="unknown table 'nope'"):
+        db.execute(Limit(Table("nope"), 0), engine=engine)
+    assert db.execute(Limit(Table("t"), 0), engine=engine) == []
+
+
+@pytest.mark.parametrize("engine", ["planned", "reference", "both"])
+def test_an_empty_star_projection_pads_its_own_columns(engine):
+    """``t x LEFT JOIN π[*](σ[y.id = 99](u y)) ON y.k = x.a``: the unmatched
+    row carries the star's columns as NULLs, as a matching row would carry
+    them, and no ``*`` column."""
+    db = _small_db()
+    right = Project(
+        Select(Table("u", "y"), BinOp("=", Col("id", "y"), Lit(99))),
+        (ProjectItem(Col("*")),),
+    )
+    query = Join(
+        Table("t", "x"), right, BinOp("=", Col("k", "y"), Col("a", "x")), kind="left"
+    )
+    assert db.execute(query, engine=engine) == [{"id": 1, "a": 1, "k": None}]

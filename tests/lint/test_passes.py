@@ -258,6 +258,20 @@ f() {
         assert (diag.code, str(diag.span)) == ("EQ301", "6:13")
         assert "once per" in diag.message
 
+    def test_eq301_query_in_a_nested_block(self):
+        source = """
+f() {
+    rs = executeQuery("from Project as p");
+    n = 0;
+    for (r : rs) {
+        { o = executeQuery("from Orders as x"); n = n + o.size(); }
+    }
+    return n;
+}
+"""
+        [diag] = lint_program(source).diagnostics
+        assert (diag.code, str(diag.span)) == ("EQ301", "6:15")
+
     def test_loop_header_query_is_exempt(self):
         source = """
 f() {
